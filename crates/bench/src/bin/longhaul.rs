@@ -257,6 +257,7 @@ fn main() -> ExitCode {
                 streamed.header().functions.len(),
                 dir.display(),
             );
+            println!("longhaul: open_passes={}", streamed.open_passes());
             if shards > 1 {
                 let plan = ShardPlan::new(&streamed.header().functions, shards);
                 let plan = std::sync::Arc::new(plan);

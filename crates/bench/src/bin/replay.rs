@@ -190,8 +190,9 @@ fn main() -> ExitCode {
     ) = match &args.trace_dir {
         Some(dir) => {
             // Stream-first ingestion: one bounded-memory pass validates the
-            // fileset and infers the replay header; each session cell then
-            // streams its events straight from disk.
+            // fileset and infers the replay header, a few more finish the
+            // capped medians; each session cell then streams its events
+            // straight from disk.
             let region = RegionId::new(args.region);
             let source = match TraceDirSource::open(format!("replay/r{}", args.region), region, dir)
             {

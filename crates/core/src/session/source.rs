@@ -419,7 +419,9 @@ impl WorkloadSource for ReplayTraceSource {
 ///
 /// Opening the source runs one streaming pass over the directory's CSV files
 /// (validating every row and inferring the function specs in bounded
-/// memory); each session cell then streams its events from disk again via
+/// memory), plus the median selection passes over the request file that
+/// [`StreamedTraceDir::open_passes`] counts; each session cell then streams
+/// its events from disk again via
 /// [`StreamedTraceDir::stream`], so no cell ever holds the request table.
 /// The seed is ignored, exactly as for [`ReplayTraceSource`]: the trace is a
 /// fixed artifact.

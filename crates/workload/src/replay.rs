@@ -172,6 +172,24 @@ pub enum TraceStreamError {
         /// The configured reorder window.
         window_ms: u64,
     },
+    /// The request file changed between the passes of one open: a median
+    /// selection pass found a different number of keys in range than the
+    /// previous pass counted.
+    FileChanged {
+        /// Function whose median was being selected.
+        function: FunctionId,
+        /// Which of its statistics.
+        stat: ReplayStat,
+        /// Keys in range counted by the previous pass.
+        expected: u64,
+        /// Keys in range found by this pass.
+        found: u64,
+    },
+    /// The timestamps span more days than a [`Calibration`] holds (`u32`).
+    SpanTooLong {
+        /// Largest timestamp in the trace.
+        last_ms: u64,
+    },
 }
 
 impl std::fmt::Display for TraceStreamError {
@@ -189,6 +207,21 @@ impl std::fmt::Display for TraceStreamError {
                  after later timestamps (max seen {max_seen_ms}ms); raise the reorder window \
                  or sort the trace"
             ),
+            TraceStreamError::FileChanged {
+                function,
+                stat,
+                expected,
+                found,
+            } => write!(
+                f,
+                "request file changed while it was being opened: selecting the {stat:?} \
+                 median of {function} expected {expected} keys in range, found {found}"
+            ),
+            TraceStreamError::SpanTooLong { last_ms } => write!(
+                f,
+                "trace timestamps reach {last_ms}ms, more than {} days",
+                u32::MAX
+            ),
         }
     }
 }
@@ -201,19 +234,41 @@ impl From<CsvError> for TraceStreamError {
     }
 }
 
+/// Count and exact range `[min, max]` of a multiset of `u64` keys.
+#[derive(Debug, Clone, Copy)]
+struct KeyRange {
+    count: u64,
+    min: u64,
+    max: u64,
+}
+
+impl KeyRange {
+    const EMPTY: KeyRange = KeyRange {
+        count: 0,
+        min: u64::MAX,
+        max: 0,
+    };
+
+    fn add(&mut self, key: u64) {
+        self.count += 1;
+        self.min = self.min.min(key);
+        self.max = self.max.max(key);
+    }
+}
+
 /// Exact multiset median over `u64` keys with a memory cap.
 ///
 /// Keys are collected verbatim up to `cap`; the `cap + 1`-th observation
-/// drops the collection and only counts from then on. An overflowed median
-/// must be [`resolve`](Self::resolve)d externally (the streaming path runs
-/// an exact out-of-core radix selection over the re-streamable request file
-/// — see `select_medians`) before it can be read. With `cap = usize::MAX`
-/// (the eager path, where the whole table is resident anyway) overflow never
-/// happens.
+/// drops the collection, and from then on only the [`KeyRange`] grows. An
+/// overflowed median must be [`resolve`](Self::resolve)d externally before
+/// it can be read: the streaming path seeds an exact out-of-core selection
+/// over the re-streamable request file with that range (see
+/// `select_medians`). With `cap = usize::MAX` (the eager path, where the
+/// whole table is resident anyway) overflow never happens.
 #[derive(Debug, Clone)]
 struct ValueMedian {
     keys: Vec<u64>,
-    total: u64,
+    range: KeyRange,
     cap: usize,
     overflowed: bool,
     resolved: Option<u64>,
@@ -223,7 +278,7 @@ impl ValueMedian {
     fn new(cap: usize) -> Self {
         Self {
             keys: Vec::new(),
-            total: 0,
+            range: KeyRange::EMPTY,
             cap,
             overflowed: false,
             resolved: None,
@@ -231,7 +286,7 @@ impl ValueMedian {
     }
 
     fn add(&mut self, key: u64) {
-        self.total += 1;
+        self.range.add(key);
         if self.overflowed {
             return;
         }
@@ -246,7 +301,7 @@ impl ValueMedian {
     /// 0-based sorted index of the median (the upper median, matching
     /// `sorted[len / 2]` over the materialised vector).
     fn rank(&self) -> u64 {
-        self.total / 2
+        self.range.count / 2
     }
 
     fn resolve(&mut self, value: u64) {
@@ -254,9 +309,9 @@ impl ValueMedian {
         self.resolved = Some(value);
     }
 
-    /// The value at sorted index `total / 2`.
+    /// The value at sorted index `count / 2`.
     fn median(mut self) -> Option<u64> {
-        if self.total == 0 {
+        if self.range.count == 0 {
             return None;
         }
         if self.overflowed {
@@ -266,7 +321,7 @@ impl ValueMedian {
             );
         }
         self.keys.sort_unstable();
-        Some(self.keys[(self.total / 2) as usize])
+        Some(self.keys[self.rank() as usize])
     }
 }
 
@@ -372,9 +427,21 @@ pub struct PendingMedian {
     pub stat: ReplayStat,
     /// 0-based index into the sorted multiset of that statistic's keys.
     pub rank: u64,
+    /// Number of keys in the multiset.
+    pub count: u64,
+    /// Smallest key in the multiset.
+    pub min: u64,
+    /// Largest key in the multiset.
+    pub max: u64,
 }
 
-/// Streaming two-pass function-stat inference.
+/// Whether [`ReplayStatsBuilder::finish`] infers a timer period for
+/// `function` — and so reads its gap median: its primary trigger is a timer.
+fn infers_timer_period(functions: &FunctionTable, function: FunctionId) -> bool {
+    functions.trigger_of(function) == TriggerType::Timer
+}
+
+/// Streaming function-stat inference.
 ///
 /// Feed every request record in `(timestamp, function, record index)` order
 /// (the [`ReplayStream`] order — [`WindowedReplayOrder`] produces exactly
@@ -383,18 +450,18 @@ pub struct PendingMedian {
 /// scanning a fully materialised [`RegionTrace`]: medians are exact (capped
 /// key collections, finished out-of-core by `select_medians` when a
 /// function's observations outgrow the cap), timer gaps come from the sorted
-/// per-function
-/// arrival sequence, and per-pod concurrency replays the same
+/// per-function arrival sequence, and per-pod concurrency replays the same
 /// ends-release-before-starts sweep the eager sort performed.
 ///
 /// # Memory contract
 ///
 /// Resident state is per *function*, never per request: at most
-/// [`with_median_cap`](Self::with_median_cap) keys per statistic (overflowed
-/// medians are finished by out-of-core selection) plus the live per-pod heaps
-/// (idle pods are garbage-collected as timestamps advance). A trace 100×
-/// longer with the same function population accumulates in the same
-/// footprint.
+/// [`with_median_cap`](Self::with_median_cap) keys plus a key range per
+/// statistic, and the live per-pod heaps (idle pods are garbage-collected as
+/// timestamps advance). A trace 100× longer with the same function
+/// population accumulates in the same footprint. Finishing the overflowed
+/// medians adds, per median and only while it is being selected, one
+/// 256-bucket histogram (6 KiB) or at most `cap` keys.
 #[derive(Debug)]
 pub struct ReplayStatsBuilder {
     accum: BTreeMap<FunctionId, StreamAccum>,
@@ -420,10 +487,11 @@ impl ReplayStatsBuilder {
 
     /// Creates an empty builder that keeps at most `cap` raw keys per
     /// (function, statistic) median. A median that overflows the cap keeps an
-    /// exact count but forgets its keys; [`pending_medians`](Self::pending_medians)
-    /// reports those, and each must be [`resolve_median`](Self::resolve_median)d
-    /// (the streaming path re-scans the request file with `select_medians`)
-    /// before [`finish`](Self::finish).
+    /// exact count and key range but forgets its keys;
+    /// [`pending_medians`](Self::pending_medians) reports those that
+    /// [`finish`](Self::finish) reads, and each must be
+    /// [`resolve_median`](Self::resolve_median)d before `finish` (the
+    /// streaming path re-scans the request file with `select_medians`).
     pub fn with_median_cap(cap: usize) -> Self {
         Self {
             accum: BTreeMap::new(),
@@ -466,7 +534,9 @@ impl ReplayStatsBuilder {
         a.prev_ts = Some(r.timestamp_ms);
 
         let start = r.timestamp_ms;
-        let end = (start + r.execution_time_us.div_ceil(1000)).max(start + 1);
+        let end = start
+            .saturating_add(r.execution_time_us.div_ceil(1000))
+            .max(start.saturating_add(1));
         let pod = a.pods.entry(r.pod).or_default();
         // Requests ending at or before this start are no longer in flight:
         // releases happen before the new arrival, so back-to-back requests
@@ -509,10 +579,13 @@ impl ReplayStatsBuilder {
         self.span
     }
 
-    /// The medians whose key collections overflowed the cap, so their exact
-    /// value must come from an out-of-core selection pass. Empty when the cap
-    /// is unbounded or every per-function statistic stayed small.
-    pub fn pending_medians(&self) -> Vec<PendingMedian> {
+    /// The medians [`finish`](Self::finish) reads whose key collections
+    /// overflowed the cap, so their exact value must come from an
+    /// out-of-core selection. A gap median is read only for timer-primary
+    /// functions of `functions`, the table later passed to `finish`. Empty
+    /// when the cap is unbounded or every per-function statistic stayed
+    /// small.
+    pub fn pending_medians(&self, functions: &FunctionTable) -> Vec<PendingMedian> {
         let mut pending = Vec::new();
         for (&function, a) in &self.accum {
             for stat in ReplayStat::ALL {
@@ -520,13 +593,17 @@ impl ReplayStatsBuilder {
                     ReplayStat::ExecUs => &a.exec_us,
                     ReplayStat::CpuKey => &a.cpu_keys,
                     ReplayStat::MemoryBytes => &a.memory_bytes,
-                    ReplayStat::GapMs => &a.gaps_ms,
+                    ReplayStat::GapMs if infers_timer_period(functions, function) => &a.gaps_ms,
+                    ReplayStat::GapMs => continue,
                 };
                 if m.overflowed {
                     pending.push(PendingMedian {
                         function,
                         stat,
                         rank: m.rank(),
+                        count: m.range.count,
+                        min: m.range.min,
+                        max: m.range.max,
                     });
                 }
             }
@@ -556,14 +633,13 @@ impl ReplayStatsBuilder {
                     .map(|m| m.triggers.clone())
                     .filter(|t| !t.is_empty())
                     .unwrap_or_else(|| vec![TriggerType::Unknown]);
-                let primary = triggers[0];
                 let config = functions.config_of(function);
                 let user = meta
                     .map(|m| m.user)
                     .unwrap_or_else(|| fntrace::UserId::new(function.raw()));
 
                 let requests_per_day = a.count as f64 / days;
-                let timer_period_secs = if primary == TriggerType::Timer {
+                let timer_period_secs = if infers_timer_period(functions, function) {
                     a.gaps_ms
                         .median()
                         .map(|g| g as f64 / 1e3)
@@ -609,132 +685,187 @@ const POD_GC_INTERVAL: u32 = 1024;
 /// before it falls back to out-of-core selection.
 const MEDIAN_COLLECT_CAP: usize = 1024;
 
-/// One overflowed median being narrowed down by [`select_medians`].
+/// Exact selection of the key at sorted index `rank` among the keys of a
+/// re-scannable multiset that lie in `range`.
+///
+/// Every pass over the multiset either narrows the range or finishes: while
+/// more than `cap` keys remain, it counts them in 256 offset buckets
+/// `(key - range.min) >> shift`, each with its exact key range, and the
+/// next pass is seeded with the bucket holding the rank. Each narrowing
+/// shrinks the range's bit width by at least 8, and a range of one key value
+/// is the answer without another pass, so a selection takes at most 8
+/// passes. Once at most `cap` keys remain, one pass gathers them and picks
+/// the rank directly.
+#[derive(Debug)]
 struct Selector {
-    function: FunctionId,
-    stat: ReplayStat,
+    /// Count and exact range, as of the previous pass, of the keys that
+    /// hold the answer.
+    range: KeyRange,
     rank: u64,
-    /// Key bits fixed so far, left-aligned; only the top `bits` are valid.
-    prefix: u64,
-    bits: u32,
-    mode: SelectorMode,
-    result: Option<u64>,
+    /// Keys in range observed in the current pass.
+    found: u64,
+    state: SelectorState,
 }
 
-enum SelectorMode {
-    /// Histogram the next key byte of every key matching the prefix.
-    Narrow(Box<[u64; 256]>),
-    /// Few enough keys match the prefix: gather and sort them outright.
+#[derive(Debug)]
+enum SelectorState {
+    /// Bucket the keys in range by `(key - range.min) >> shift`.
+    Narrow { shift: u32, buckets: Vec<KeyRange> },
+    /// Gather the keys in range outright.
     Collect(Vec<u64>),
+    /// The selected key.
+    Done(u64),
+}
+
+impl SelectorState {
+    /// What the next pass does with the keys `range` describes.
+    fn plan(range: KeyRange, cap: usize) -> Self {
+        let KeyRange { count, min, max } = range;
+        if min == max {
+            SelectorState::Done(min)
+        } else if count <= cap as u64 {
+            SelectorState::Collect(Vec::with_capacity(count as usize))
+        } else {
+            let width = u64::BITS - (max - min).leading_zeros();
+            SelectorState::Narrow {
+                shift: width.saturating_sub(8),
+                buckets: vec![KeyRange::EMPTY; 256],
+            }
+        }
+    }
 }
 
 impl Selector {
-    fn matches(&self, key: u64) -> bool {
-        self.bits == 0 || (key >> (64 - self.bits)) == (self.prefix >> (64 - self.bits))
+    /// Seeds a selection of sorted index `rank` of the multiset `range`
+    /// describes.
+    fn new(range: KeyRange, rank: u64, cap: usize) -> Self {
+        debug_assert!(rank < range.count, "rank outside the multiset");
+        Self {
+            range,
+            rank,
+            found: 0,
+            state: SelectorState::plan(range, cap),
+        }
+    }
+
+    fn result(&self) -> Option<u64> {
+        match self.state {
+            SelectorState::Done(key) => Some(key),
+            _ => None,
+        }
     }
 
     fn observe(&mut self, key: u64) {
-        if !self.matches(key) {
+        if key < self.range.min || key > self.range.max {
             return;
         }
-        match &mut self.mode {
-            SelectorMode::Narrow(hist) => {
-                hist[((key >> (56 - self.bits)) & 0xFF) as usize] += 1;
+        self.found += 1;
+        match &mut self.state {
+            SelectorState::Narrow { shift, buckets } => {
+                buckets[((key - self.range.min) >> *shift) as usize].add(key);
             }
-            SelectorMode::Collect(keys) => keys.push(key),
+            SelectorState::Collect(keys) => keys.push(key),
+            SelectorState::Done(_) => {}
         }
     }
 
-    /// Digests one pass: fixes the next key byte (or finishes), choosing
-    /// direct collection once at most `cap` keys remain under the prefix.
-    fn conclude_pass(&mut self, cap: usize) {
-        match std::mem::replace(&mut self.mode, SelectorMode::Collect(Vec::new())) {
-            SelectorMode::Narrow(hist) => {
-                let mut before = 0u64;
-                let mut bucket = None;
-                for (b, &n) in hist.iter().enumerate() {
-                    if self.rank < before + n {
-                        bucket = Some((b, n));
-                        break;
-                    }
-                    before += n;
-                }
-                let (b, n) =
-                    bucket.expect("median rank exceeds key population: trace file changed");
-                self.rank -= before;
-                self.prefix |= (b as u64) << (56 - self.bits);
-                self.bits += 8;
-                if self.bits == 64 {
-                    self.result = Some(self.prefix);
-                } else if n <= cap as u64 {
-                    self.mode = SelectorMode::Collect(Vec::with_capacity(n as usize));
-                } else {
-                    self.mode = SelectorMode::Narrow(Box::new([0u64; 256]));
-                }
-            }
-            SelectorMode::Collect(mut keys) => {
-                keys.sort_unstable();
-                self.result = Some(
-                    *keys
-                        .get(self.rank as usize)
-                        .expect("median rank exceeds key population: trace file changed"),
-                );
-            }
+    /// Digests one pass over the whole multiset of an unresolved selection.
+    /// Fails with the number of keys found in range when it differs from
+    /// the number the previous pass counted there, i.e. when the multiset
+    /// changed between passes.
+    fn conclude_pass(&mut self, cap: usize) -> Result<(), u64> {
+        if self.found != self.range.count {
+            return Err(self.found);
         }
+        match &mut self.state {
+            SelectorState::Narrow { buckets, .. } => {
+                let mut before = 0;
+                let bucket = *buckets
+                    .iter()
+                    .find(|b| {
+                        before += b.count;
+                        self.rank < before
+                    })
+                    .expect("bucket counts sum to the keys in range, which exceed the rank");
+                self.rank -= before - bucket.count;
+                self.range = bucket;
+                self.found = 0;
+                self.state = SelectorState::plan(bucket, cap);
+            }
+            SelectorState::Collect(keys) => {
+                let (_, &mut key, _) = keys.select_nth_unstable(self.rank as usize);
+                self.state = SelectorState::Done(key);
+            }
+            SelectorState::Done(_) => {}
+        }
+        Ok(())
     }
 }
 
-/// Exact out-of-core median selection for the statistics that overflowed the
-/// streaming builder's cap.
+/// Exact out-of-core selection of the medians `builder` overflowed (its
+/// [`pending_medians`](ReplayStatsBuilder::pending_medians) for
+/// `functions`), resolved into `builder`; returns the number of passes made
+/// over the request file.
 ///
-/// Each pass re-streams the request file through the same
-/// [`WindowedReplayOrder`] the builder consumed (the order is deterministic,
-/// and gap keys depend on it) and refines every unresolved selector: byte-wise
-/// radix narrowing fixes one more key byte per pass until fewer than `cap`
-/// keys remain under a selector's prefix, at which point one final pass
-/// collects and sorts them. At most nine passes over the file; resident
-/// memory is `O(selectors × cap)`, independent of trace length.
+/// Every [`Selector`] is seeded with its statistic's key count and
+/// `[min, max]` range from the inference pass, so a constant statistic is
+/// resolved without any pass. Each pass re-streams the request file through
+/// the same [`WindowedReplayOrder`] the builder consumed (the order is
+/// deterministic, and gap keys depend on it) and advances every unresolved
+/// selector at once: typically one narrowing pass and one gathering pass,
+/// at most 8 when keys spread over all 64 bits. Every pass checks that it
+/// finds exactly the keys in range the previous one counted, so a file that
+/// changed between passes is a [`TraceStreamError::FileChanged`], never a
+/// wrong median. Resident memory is one 256-bucket histogram or at most the
+/// builder's median cap of keys per unresolved selector, independent of
+/// trace length.
 fn select_medians(
+    builder: &mut ReplayStatsBuilder,
+    functions: &FunctionTable,
     requests_path: &Path,
     window_ms: u64,
-    pending: Vec<PendingMedian>,
-    cap: usize,
-) -> Result<Vec<(FunctionId, ReplayStat, u64)>, TraceStreamError> {
+) -> Result<u32, TraceStreamError> {
+    let cap = builder.median_cap;
+    let pending = builder.pending_medians(functions);
     let mut selectors: Vec<Selector> = pending
-        .into_iter()
-        .map(|p| Selector {
-            function: p.function,
-            stat: p.stat,
-            rank: p.rank,
-            prefix: 0,
-            bits: 0,
-            mode: SelectorMode::Narrow(Box::new([0u64; 256])),
-            result: None,
+        .iter()
+        .map(|p| {
+            let range = KeyRange {
+                count: p.count,
+                min: p.min,
+                max: p.max,
+            };
+            Selector::new(range, p.rank, cap)
         })
         .collect();
 
-    while selectors.iter().any(|s| s.result.is_none()) {
+    let mut passes = 0;
+    loop {
         // Index the unresolved selectors by function for the scan.
         let mut by_function: HashMap<FunctionId, Vec<usize>> = HashMap::new();
         for (i, s) in selectors.iter().enumerate() {
-            if s.result.is_none() {
-                by_function.entry(s.function).or_default().push(i);
+            if s.result().is_none() {
+                by_function.entry(pending[i].function).or_default().push(i);
             }
         }
+        if by_function.is_empty() {
+            break;
+        }
+        passes += 1;
 
         let reader = TraceReader::<_, RequestRecord>::from_path(requests_path)?;
         let mut prev_ts: HashMap<FunctionId, u64> = HashMap::new();
         for rec in WindowedReplayOrder::new(reader, window_ms) {
             let r = rec?;
-            let gap = prev_ts
-                .insert(r.function, r.timestamp_ms)
-                .map(|prev| r.timestamp_ms.saturating_sub(prev));
             let Some(indices) = by_function.get(&r.function) else {
                 continue;
             };
+            let gap = prev_ts
+                .insert(r.function, r.timestamp_ms)
+                .map(|prev| r.timestamp_ms.saturating_sub(prev));
             for &i in indices {
                 let s = &mut selectors[i];
-                match s.stat {
+                match pending[i].stat {
                     ReplayStat::ExecUs => s.observe(r.execution_time_us),
                     ReplayStat::CpuKey => s.observe(f64_total_key(r.cpu_usage_millicores)),
                     ReplayStat::MemoryBytes => s.observe(r.memory_usage_bytes),
@@ -747,23 +878,26 @@ fn select_medians(
             }
         }
 
-        for s in &mut selectors {
-            if s.result.is_none() {
-                s.conclude_pass(cap);
+        for (p, s) in pending.iter().zip(&mut selectors) {
+            if s.result().is_none() {
+                s.conclude_pass(cap)
+                    .map_err(|found| TraceStreamError::FileChanged {
+                        function: p.function,
+                        stat: p.stat,
+                        expected: s.range.count,
+                        found,
+                    })?;
             }
         }
     }
 
-    Ok(selectors
-        .into_iter()
-        .map(|s| {
-            (
-                s.function,
-                s.stat,
-                s.result.expect("loop ran to resolution"),
-            )
-        })
-        .collect())
+    for (p, s) in pending.iter().zip(&selectors) {
+        let key = s
+            .result()
+            .expect("the loop runs until every selector is done");
+        builder.resolve_median(p.function, p.stat, key);
+    }
+    Ok(passes)
 }
 
 /// Reconstructs a [`FunctionSpec`] per distinct function in the request
@@ -865,7 +999,7 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
             // always buffered together and tie-break by (function, seq).
             if let Some(Reverse(min)) = self.heap.peek() {
                 let drained = self.source.is_none();
-                if drained || min.key.0 + self.window_ms < self.max_seen_ms {
+                if drained || min.key.0.saturating_add(self.window_ms) < self.max_seen_ms {
                     let rec = self.heap.pop().map(|Reverse(p)| p.rec)?;
                     return Some(Ok(rec));
                 }
@@ -873,7 +1007,7 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
             let source = self.source.as_mut()?;
             match source.next() {
                 Some(Ok(rec)) => {
-                    if rec.timestamp_ms + self.window_ms < self.max_seen_ms {
+                    if rec.timestamp_ms.saturating_add(self.window_ms) < self.max_seen_ms {
                         self.source = None;
                         self.heap.clear();
                         return Some(Err(TraceStreamError::Disorder {
@@ -905,8 +1039,8 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
 pub const DEFAULT_REPLAY_WINDOW_MS: u64 = MILLIS_PER_HOUR;
 
 /// A trace directory opened for streaming replay: an event-free header spec
-/// (inferred in a first streaming pass) plus the ability to stream the
-/// request file's events in [`ReplayStream`] order on demand.
+/// (inferred while opening) plus the ability to stream the request file's
+/// events in [`ReplayStream`] order on demand.
 ///
 /// Built by [`TraceReplayWorkload::open_csv_dir`]. The header is identical
 /// to what [`TraceReplayWorkload::build_streamed`] produces from the fully
@@ -920,12 +1054,19 @@ pub struct StreamedTraceDir {
     requests: u64,
     cold_starts: u64,
     functions: u64,
+    open_passes: u32,
 }
 
 impl StreamedTraceDir {
     /// The event-free replay header (functions, profile, calibration).
     pub fn header(&self) -> &Arc<WorkloadSpec> {
         &self.header
+    }
+
+    /// Passes the open made over the request file: the inference pass plus
+    /// the median selection passes. Deterministic for a given fileset.
+    pub fn open_passes(&self) -> u32 {
+        self.open_passes
     }
 
     /// Number of request records counted in the inference pass.
@@ -945,8 +1086,8 @@ impl StreamedTraceDir {
         self.functions
     }
 
-    /// Opens a fresh disk-backed event stream (the second pass). Every call
-    /// replays the same deterministic sequence.
+    /// Opens a fresh disk-backed event stream (one more pass over the request
+    /// file). Every call replays the same deterministic sequence.
     pub fn stream(&self) -> Result<DiskReplayStream, TraceStreamError> {
         let reader = TraceReader::<_, RequestRecord>::from_path(&self.requests_path)?;
         Ok(DiskReplayStream {
@@ -1005,9 +1146,12 @@ impl TraceReplayWorkload {
     /// This is the larger-than-memory counterpart of
     /// [`RegionTrace::read_csv_dir`] + [`build_streamed`](Self::build_streamed):
     /// one streaming pass over the three files infers the function specs
-    /// (via [`ReplayStatsBuilder`]) and validates every row; the returned
-    /// [`StreamedTraceDir`] then replays events straight from disk. Only the
-    /// function table is held resident.
+    /// (via [`ReplayStatsBuilder`]) and validates every row, and medians that
+    /// outgrew their in-memory cap are finished by selection passes over the
+    /// request file (typically 2, at most 8; see
+    /// [`StreamedTraceDir::open_passes`]). The returned [`StreamedTraceDir`]
+    /// then replays events straight from disk. Only the function table is
+    /// held resident.
     pub fn open_csv_dir(
         &self,
         region: RegionId,
@@ -1039,26 +1183,28 @@ impl TraceReplayWorkload {
         for rec in WindowedReplayOrder::new(reader, window_ms) {
             builder.record_request(&rec?);
         }
-        // Functions with more than `MEDIAN_COLLECT_CAP` distinct observations
-        // per statistic dropped their key collections; finish those medians
+
+        let calibration = match self.calibration {
+            Some(calibration) => calibration,
+            None => {
+                let last_ms = builder.span_ms().map_or(0, |(_, hi)| hi);
+                let days = last_ms.saturating_add(1).div_ceil(MILLIS_PER_DAY);
+                Calibration {
+                    duration_days: u32::try_from(days)
+                        .map_err(|_| TraceStreamError::SpanTooLong { last_ms })?
+                        .max(1),
+                    ..Calibration::default()
+                }
+            }
+        };
+
+        // Functions with more than `MEDIAN_COLLECT_CAP` observations per
+        // statistic dropped their key collections; finish those medians
         // exactly by re-streaming the file (bounded extra passes, bounded
         // memory) instead of letting resident state grow with trace length.
-        let pending = builder.pending_medians();
-        if !pending.is_empty() {
-            for (function, stat, key) in
-                select_medians(&paths.requests, window_ms, pending, MEDIAN_COLLECT_CAP)?
-            {
-                builder.resolve_median(function, stat, key);
-            }
-        }
+        let selection_passes =
+            select_medians(&mut builder, &functions, &paths.requests, window_ms)?;
 
-        let calibration = self.calibration.unwrap_or_else(|| {
-            let span_end = builder.span_ms().map(|(_, hi)| hi + 1).unwrap_or(0);
-            Calibration {
-                duration_days: (span_end.div_ceil(MILLIS_PER_DAY) as u32).max(1),
-                ..Calibration::default()
-            }
-        });
         let profile = self.profile.clone().unwrap_or_else(|| {
             let base =
                 RegionProfile::paper_region(region.index()).unwrap_or_else(RegionProfile::r2);
@@ -1084,6 +1230,7 @@ impl TraceReplayWorkload {
             requests,
             cold_starts,
             functions: function_rows,
+            open_passes: 1 + selection_passes,
         })
     }
 }
@@ -1091,8 +1238,11 @@ impl TraceReplayWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faas_stats::rng::Xoshiro256pp;
     use fntrace::synth::{SynthShape, SynthTraceSpec};
-    use fntrace::{RegionId, RequestId, RequestRecord, Runtime, UserId};
+    use fntrace::{
+        FunctionMeta, RegionId, RequestId, RequestRecord, ResourceConfig, Runtime, UserId,
+    };
 
     fn synth_trace(seed: u64) -> RegionTrace {
         SynthTraceSpec {
@@ -1292,24 +1442,275 @@ mod tests {
         // A cap this small forces every function's medians through the
         // out-of-core selection passes.
         let cap = 4;
-        let mut builder = ReplayStatsBuilder::with_median_cap(cap);
+        let mut builder = capped_builder(&paths.requests, cap);
         for cs in trace.cold_starts.records() {
             builder.record_cold_start(cs);
         }
-        let reader = TraceReader::<_, RequestRecord>::from_path(&paths.requests).unwrap();
+        assert!(
+            !builder.pending_medians(&trace.functions).is_empty(),
+            "the tiny cap must overflow"
+        );
+        let passes = select_medians(
+            &mut builder,
+            &trace.functions,
+            &paths.requests,
+            DEFAULT_REPLAY_WINDOW_MS,
+        )
+        .unwrap();
+        let streamed = builder.finish(&trace.functions, &calibration);
+        assert_eq!(streamed, eager);
+        // The open of this fileset at this cap: inference plus selection.
+        assert_eq!(1 + passes, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A builder with median cap `cap` fed a request file in replay order.
+    fn capped_builder(requests: &Path, cap: usize) -> ReplayStatsBuilder {
+        let mut builder = ReplayStatsBuilder::with_median_cap(cap);
+        let reader = TraceReader::<_, RequestRecord>::from_path(requests).unwrap();
         for rec in WindowedReplayOrder::new(reader, DEFAULT_REPLAY_WINDOW_MS) {
             builder.record_request(&rec.unwrap());
         }
-        let pending = builder.pending_medians();
-        assert!(!pending.is_empty(), "the tiny cap must overflow");
-        for (function, stat, key) in
-            select_medians(&paths.requests, DEFAULT_REPLAY_WINDOW_MS, pending, cap).unwrap()
-        {
-            builder.resolve_median(function, stat, key);
+        builder
+    }
+
+    /// One request of `function` on pod 1 with fixed CPU and memory.
+    fn request(
+        function: u64,
+        seq: u64,
+        timestamp_ms: u64,
+        execution_time_us: u64,
+    ) -> RequestRecord {
+        RequestRecord {
+            timestamp_ms,
+            pod: PodId::new(1),
+            cluster: 0,
+            function: FunctionId::new(function),
+            user: UserId::new(1),
+            request: RequestId::new(seq),
+            execution_time_us,
+            cpu_usage_millicores: 50.0,
+            memory_usage_bytes: 1 << 20,
         }
-        let streamed = builder.finish(&trace.functions, &calibration);
-        assert_eq!(streamed, eager);
+    }
+
+    #[test]
+    fn constant_over_cap_statistics_open_in_one_pass() {
+        let dir = std::env::temp_dir().join("faas_workload_constant_stats_test");
         std::fs::remove_dir_all(&dir).ok();
+        let mut trace = RegionTrace::new(RegionId::new(2));
+        trace.functions.insert(FunctionMeta {
+            function: FunctionId::new(1),
+            user: UserId::new(1),
+            runtime: Runtime::NodeJs,
+            triggers: vec![TriggerType::Timer],
+            config: ResourceConfig::SMALL_300_128,
+        });
+        // Function 1 is a one-minute timer; function 2 is unlisted (not a
+        // timer), so its irregular gaps are never read. Every statistic that
+        // is read overflows the cap with a single key value.
+        let n = 2 * MEDIAN_COLLECT_CAP as u64;
+        for i in 0..n {
+            trace.requests.push(request(1, 2 * i, i * 60_000, 20_000));
+            trace
+                .requests
+                .push(request(2, 2 * i + 1, i * 60_000 + i * i % 7_919, 20_000));
+        }
+        trace.write_csv_dir(&dir).unwrap();
+
+        let streamed = TraceReplayWorkload::new()
+            .open_csv_dir(trace.region, &dir)
+            .unwrap();
+        assert_eq!(streamed.open_passes(), 1);
+        let eager_trace = RegionTrace::read_csv_dir(trace.region, &dir).unwrap();
+        let (eager_header, _) = TraceReplayWorkload::new().build_streamed(&eager_trace);
+        assert_eq!(**streamed.header(), eager_header);
+        assert_eq!(eager_header.functions[0].timer_period_secs, 60.0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn selection_against_a_changed_file_is_a_typed_error() {
+        let dir = std::env::temp_dir().join("faas_workload_changed_file_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let trace = synth_trace(11);
+        trace.write_csv_dir(&dir.join("before")).unwrap();
+        // The same fileset minus its last request: every median rank still
+        // fits the changed file, so only the key count can tell.
+        let mut changed = RegionTrace::new(trace.region);
+        let records = trace.requests.records();
+        for r in &records[..records.len() - 1] {
+            changed.requests.push(*r);
+        }
+        changed.write_csv_dir(&dir.join("after")).unwrap();
+
+        let before = TraceDirPaths::new(trace.region, &dir.join("before"));
+        let after = TraceDirPaths::new(trace.region, &dir.join("after"));
+        let mut builder = capped_builder(&before.requests, 4);
+        let err = select_medians(
+            &mut builder,
+            &trace.functions,
+            &after.requests,
+            DEFAULT_REPLAY_WINDOW_MS,
+        )
+        .unwrap_err();
+        let TraceStreamError::FileChanged {
+            function,
+            expected,
+            found,
+            ..
+        } = err
+        else {
+            panic!("expected FileChanged, got {err}");
+        };
+        assert_eq!(function, records[records.len() - 1].function);
+        assert_eq!(found + 1, expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_timestamps_never_overflow() {
+        // Reordering and concurrency inference next to `u64::MAX`.
+        let feed = [u64::MAX - 5, u64::MAX - 7, u64::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(i, ts)| Ok(request(1, i as u64, ts, 1_000_000)));
+        let ordered: Vec<RequestRecord> = WindowedReplayOrder::new(feed, DEFAULT_REPLAY_WINDOW_MS)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let stamps: Vec<u64> = ordered.iter().map(|r| r.timestamp_ms).collect();
+        assert_eq!(stamps, [u64::MAX - 7, u64::MAX - 5, u64::MAX]);
+        let mut builder = ReplayStatsBuilder::new();
+        for r in &ordered {
+            builder.record_request(r);
+        }
+        assert_eq!(builder.span_ms(), Some((u64::MAX - 7, u64::MAX)));
+
+        // A day span beyond `u32` days is a typed error when opening.
+        let dir = std::env::temp_dir().join("faas_workload_hostile_span_test");
+        for last_ms in [u64::MAX - 5, 1 << 60] {
+            std::fs::remove_dir_all(&dir).ok();
+            let mut trace = RegionTrace::new(RegionId::new(2));
+            trace.requests.push(request(1, 0, 0, 1_000_000));
+            trace.requests.push(request(1, 1, last_ms, 1_000_000));
+            trace.write_csv_dir(&dir).unwrap();
+            let err = TraceReplayWorkload::new()
+                .open_csv_dir(trace.region, &dir)
+                .unwrap_err();
+            assert!(
+                matches!(err, TraceStreamError::SpanTooLong { last_ms: l } if l == last_ms),
+                "{err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Selects sorted index `rank` of `keys`, re-scanning the slice once per
+    /// pass as `select_medians` re-streams the request file. Returns the key
+    /// and the passes made; panics past the 8-pass bound.
+    fn select_in_memory(keys: &[u64], rank: u64, cap: usize) -> (u64, u32) {
+        let mut range = KeyRange::EMPTY;
+        for &key in keys {
+            range.add(key);
+        }
+        let mut selector = Selector::new(range, rank, cap);
+        let mut passes = 0;
+        while selector.result().is_none() {
+            assert!(passes < 8, "selection exceeded 8 passes");
+            passes += 1;
+            for &key in keys {
+                selector.observe(key);
+            }
+            selector.conclude_pass(cap).unwrap();
+        }
+        (selector.result().unwrap(), passes)
+    }
+
+    #[test]
+    fn selection_matches_a_sorted_oracle_on_adversarial_keys() {
+        let mut cases: Vec<(String, Vec<u64>)> = vec![
+            ("all equal".into(), vec![42; 37]),
+            ("all equal at the top".into(), vec![u64::MAX; 9]),
+            (
+                "two distinct values".into(),
+                (0..40)
+                    .map(|i| if i % 3 == 0 { 7 } else { 1_000_000 })
+                    .collect(),
+            ),
+            (
+                "two values at the extremes".into(),
+                (0..25)
+                    .map(|i| if i % 2 == 0 { 0 } else { u64::MAX })
+                    .collect(),
+            ),
+            // A 16-bit range buckets by 256: the median's ties sit on both
+            // sides of the first bucket edge.
+            (
+                "ties straddling a bucket edge".into(),
+                [vec![0, 65_535], vec![255; 20], vec![256; 21]].concat(),
+            ),
+            (
+                "full u64 range".into(),
+                vec![
+                    0,
+                    1,
+                    2,
+                    12_345,
+                    (1 << 56) - 1,
+                    1 << 56,
+                    1 << 32,
+                    (1 << 63) - 1,
+                    1 << 63,
+                    u64::MAX - 1,
+                    u64::MAX,
+                ],
+            ),
+            (
+                "float keys".into(),
+                [
+                    f64::NEG_INFINITY,
+                    -1e300,
+                    -2.5,
+                    -0.0,
+                    0.0,
+                    5e-324,
+                    1.0,
+                    250.0,
+                    f64::MAX,
+                    f64::INFINITY,
+                    f64::NAN,
+                    -f64::NAN,
+                ]
+                .map(f64_total_key)
+                .to_vec(),
+            ),
+        ];
+        // Seeded multisets of every spread from one key value to 64 bits.
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        for case in 0..120 {
+            let len = 1 + rng.next_u64() % 300;
+            let shift = rng.next_u64() % 65;
+            let base = rng.next_u64();
+            let keys = (0..len)
+                .map(|_| base.wrapping_add(rng.next_u64().checked_shr(shift as u32).unwrap_or(0)))
+                .collect();
+            cases.push((format!("seeded {case}, shift {shift}"), keys));
+        }
+
+        for (name, keys) in &cases {
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            let len = keys.len() as u64;
+            for cap in 1..=8 {
+                for rank in [0, len / 2, len - 1] {
+                    let (key, passes) = select_in_memory(keys, rank, cap);
+                    assert_eq!(key, sorted[rank as usize], "{name}: cap {cap}, rank {rank}");
+                    if sorted[0] == sorted[sorted.len() - 1] {
+                        assert_eq!(passes, 0, "{name}: a constant multiset needs no pass");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
