@@ -27,12 +27,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use coldstarts::evaluation::Scenario;
 use coldstarts::session::envelope::{cells_value, JsonValue};
 use coldstarts::session::{
     seeds, ChunkSource, ExperimentSession, PolicyConfig, ProgressLog, ReplayTraceSource,
     TraceDirSource, WorkloadSource,
 };
+use coldstarts::Scenario;
 use faas_platform::{PlatformConfig, SimReport, SimulationSpec};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::RegionProfile;

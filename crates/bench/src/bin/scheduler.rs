@@ -45,6 +45,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use coldstarts::session::envelope::f64_lit;
 use faas_platform::{Event, EventQueue, NodeScenario, PlatformConfig, SimulationSpec};
 use faas_stats::rng::Xoshiro256pp;
 use faas_workload::population::PopulationConfig;
@@ -318,19 +319,6 @@ fn node_model_run(n: usize, seed: u64, shards: u32) -> ScenarioResult {
         },
         events: report.events_processed,
         wall_ms,
-    }
-}
-
-fn f64_lit(x: f64) -> String {
-    if x.is_finite() {
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
     }
 }
 

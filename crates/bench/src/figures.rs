@@ -1,12 +1,13 @@
 //! One generator per paper table / figure.
 
 use std::path::Path;
+use std::sync::Arc;
 
-use coldstarts::evaluation::{PolicyEvaluation, Scenario};
 use coldstarts::pipeline::CharacterizationPipeline;
 use coldstarts::policies::cross_region::CrossRegionScheduler;
 use coldstarts::policies::pool_prediction::PoolDemandPredictor;
-use coldstarts::CharacterizationReport;
+use coldstarts::session::{seeds, ExperimentSession, FixedWorkloadSource};
+use coldstarts::{CharacterizationReport, Scenario, ScenarioOutcome};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::{SyntheticTraceBuilder, TraceScale, WorkloadSpec};
@@ -764,17 +765,49 @@ fn fig17(ctx: &ExperimentContext, sink: &mut OutputSink) {
     );
 }
 
+/// Renders the ablation table: one row per scenario, with its deltas
+/// relative to the baseline.
+fn render_outcomes(outcomes: &[ScenarioOutcome]) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{:<24} {:>12} {:>10} {:>14} {:>12} {:>12}\n",
+        "scenario", "cold starts", "reduction", "mean added (s)", "latency red.", "idle change"
+    ));
+    for o in outcomes {
+        out.push_str(&format!(
+            "{:<24} {:>12} {:>9.1}% {:>14.4} {:>11.1}% {:>11.1}%\n",
+            o.policy,
+            o.report.cold_starts,
+            100.0 * o.cold_start_reduction,
+            o.report.mean_added_latency_s,
+            100.0 * o.added_latency_reduction,
+            100.0 * o.idle_time_change,
+        ));
+    }
+    out
+}
+
 fn policy_ablation(ctx: &ExperimentContext, sink: &mut OutputSink) {
-    let workload = ctx.ablation_workload();
-    let evaluation = PolicyEvaluation::default();
-    let outcomes = evaluation.run(&workload, &Scenario::ALL);
-    sink.line(PolicyEvaluation::render(&outcomes));
+    // The context seed varies the workload only; the simulation seed stays
+    // the session default whatever `--seed` says.
+    let report = ExperimentSession::new()
+        .scenarios(&Scenario::ALL)
+        .source(FixedWorkloadSource::new(
+            "workload",
+            Arc::new(ctx.ablation_workload()),
+        ))
+        .with_seeds(vec![seeds::DEFAULT_SEED])
+        .run();
+    let outcomes = report
+        .outcomes(0, seeds::DEFAULT_SEED)
+        .expect("the baseline scenario is declared");
+    sink.line(render_outcomes(&outcomes));
     let rows: Vec<String> = outcomes
         .iter()
         .map(|o| {
             format!(
                 "{},{},{:.4},{:.4},{:.6},{:.4},{}",
-                o.scenario.name(),
+                o.policy,
                 o.report.cold_starts,
                 o.report.cold_start_rate(),
                 o.cold_start_reduction,
@@ -847,6 +880,11 @@ mod tests {
         assert!(sink.report().contains("=== fig10 ==="));
         assert!(sink.report().contains("LogNormal fit"));
         assert!(sink.report().contains("policy-ablation"));
+        // The ablation table has one row per scenario under its header.
+        assert!(sink.report().contains("latency red."));
+        for scenario in Scenario::ALL {
+            assert!(sink.report().contains(scenario.name()), "{scenario:?}");
+        }
         // Every experiment except the narrative-only ones writes CSV output.
         assert!(
             sink.files_written().len() >= 15,

@@ -31,6 +31,9 @@
 //! | [`policies::cross_region`] | Cross-region function migration |
 //! | [`policies::concurrency`] | Concurrency adjustment advisor |
 //!
+//! The named ablation [`Scenario`]s combine these policies; each runs as one
+//! [`policies::ScenarioPolicies`] factory.
+//!
 //! # Experiment sessions (the one experiment API)
 //!
 //! Every experiment in this crate — the policy ablation, the parameter
@@ -49,8 +52,8 @@
 //! reconciliation (see `faas_platform::shard` and `ARCHITECTURE.md`).
 //!
 //! ```
-//! use coldstarts::evaluation::Scenario;
-//! use coldstarts::session::{ExperimentSession, PolicyConfig, RegionSource};
+//! use coldstarts::session::{ExperimentSession, RegionSource};
+//! use coldstarts::Scenario;
 //! use faas_workload::population::PopulationConfig;
 //! use faas_workload::profile::{Calibration, RegionProfile};
 //!
@@ -67,24 +70,23 @@
 //!         },
 //!     ))
 //!     .with_seeds(vec![7]);
-//! let report = session.run();             // == session.run_sequential()
+//! let report = session.run();     // == session.with_threads(1).run()
 //! assert_eq!(report.cells.len(), 2);
+//! let outcomes = report.outcomes(0, 7).expect("the baseline is declared");
+//! assert_eq!(outcomes[0].cold_start_reduction, 0.0);
 //! let json = report.envelope("ablation").to_json();
 //! assert!(json.contains("\"schema\": \"faas-coldstarts/session/v1\""));
 //! ```
 //!
-//! The pre-session entry points — [`ExperimentGrid`],
-//! [`sweep::PolicySweep`], [`ReplayGrid`], and [`PolicyEvaluation`] — are
-//! kept as thin shims that build sessions internally. Their one-shot
-//! convenience constructors have been removed: construct the shims as plain
-//! struct literals, or better, declare sessions directly in new code.
+//! A session is the one way to run an experiment; a single simulation
+//! outside one goes through `faas_platform::SimulationSpec`.
 //!
 //! # Parameter sweeps
 //!
 //! [`sweep`] turns the one-configuration-at-a-time ablation into a search:
 //! each policy family describes its tunable axes as a
 //! [`sweep::ParamSpace`], a [`sweep::PolicySweep`] fans the cross-product
-//! out over scenario presets × regions × seeds on the session engine, and
+//! out over scenario presets × regions × seeds as one session, and
 //! the resulting [`sweep::SweepReport`] carries the Pareto front over
 //! (cold-start rate, memory-GB-seconds wasted).
 //!
@@ -111,21 +113,17 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod evaluation;
-pub mod experiment;
 pub mod pipeline;
 pub mod policies;
-pub mod replay;
 pub mod report;
 pub mod session;
 pub mod sweep;
 
-pub use evaluation::{PolicyEvaluation, Scenario, ScenarioOutcome};
-pub use experiment::{ExperimentGrid, GridCellReport, GridReport, ScenarioPolicies};
 pub use pipeline::CharacterizationPipeline;
-pub use replay::{ChunkReport, ReplayGrid};
+pub use policies::Scenario;
 pub use report::CharacterizationReport;
 pub use session::{
-    ExperimentSession, PolicyConfig, ReportSink, SessionCell, SessionReport, WorkloadSource,
+    ExperimentSession, PolicyConfig, ReportSink, ScenarioOutcome, SessionCell, SessionReport,
+    WorkloadSource,
 };
 pub use sweep::{ParamSpace, PolicyFamily, PolicySweep, ReplaySource, SweepConfig, SweepReport};

@@ -1,12 +1,10 @@
 //! Versioned report envelope shared by every benchmark document.
 //!
-//! Before the session API existed, `BENCH_sweep.json` and `BENCH_replay.json`
-//! each hand-rolled their own top-level JSON layout (the
-//! `faas-coldstarts/sweep/v1` and `faas-coldstarts/replay/v1` schemas). This
-//! module replaces both with one **envelope**: a `faas-coldstarts/session/v1`
-//! document whose leading keys are identical for every kind of experiment —
-//! `schema`, `kind`, `policies`, `sources`, `seeds`, `cell_count`, `cells` —
-//! followed by kind-specific payload keys appended by the producer.
+//! `BENCH_sweep.json` and `BENCH_replay.json` share one **envelope**: a
+//! `faas-coldstarts/session/v1` document whose leading keys are identical
+//! for every kind of experiment — `schema`, `kind`, `policies`, `sources`,
+//! `seeds`, `cell_count`, `cells` — followed by kind-specific payload keys
+//! appended by the producer.
 //!
 //! The workspace's `serde` is an offline marker stub (see
 //! `crates/compat/serde`), so emission is hand-rolled and byte-deterministic:

@@ -1,20 +1,18 @@
 //! One declarative API for every experiment shape.
 //!
 //! All of the paper's results are instances of one shape — **policies ×
-//! workload sources × seeds → cold-start metrics** — yet the codebase grew
-//! three divergent APIs for it: the experiment grid, the policy parameter
-//! sweep, and the replay grid, each re-implementing workload selection,
-//! parallel fan-out, and JSON emission. [`ExperimentSession`] collapses them
-//! into a single declarative session:
+//! workload sources × seeds → cold-start metrics** — and
+//! [`ExperimentSession`] declares that shape once, owning workload
+//! selection, parallel fan-out, and JSON emission for every experiment:
 //!
 //! ```text
 //!  WorkloadSource (trait)          ExperimentSession             ReportSink (trait)
 //!  ┌─────────────────────┐   ┌──────────────────────────┐   ┌──────────────────────┐
 //!  │ PresetSource        │   │ policies: [PolicyConfig] │   │ CellCollector        │
 //!  │ RegionSource        ├──▶│ sources:  [dyn Source]   ├──▶│ ProgressLog          │
-//!  │ ReplayTraceSource   │   │ seeds:    [u64]          │   │ JsonWriter           │
-//!  │ SynthTraceSource    │   │ platform, threads        │   │ (your own impl)      │
-//!  │ (your own impl)     │   └─────────┬────────────────┘   └──────────────────────┘
+//!  │ ReplayTraceSource   │   │ seeds:    [u64]          │   │ (your own impl)      │
+//!  │ SynthTraceSource    │   │ platform, threads        │   └──────────────────────┘
+//!  │ (your own impl)     │   └─────────┬────────────────┘
 //!  └─────────────────────┘             │ parallel fan-out, deterministic merge
 //!                                      ▼
 //!                         SessionReport → Envelope (faas-coldstarts/session/v1)
@@ -25,31 +23,31 @@
 //! each cell's source to a lazy
 //! [`ArrivalStream`](faas_workload::stream::ArrivalStream) on the worker
 //! that runs it (see [`WorkloadSource::lower`] — memory stays bounded by
-//! the population, never the horizon), executes every cell on the same
-//! scoped-thread engine the grid has always used, and streams completed
-//! cells through [`ReportSink`]s in declaration order. Parallel,
-//! sequential, and eagerly materialised
-//! ([`run_materialized`](ExperimentSession::run_materialized)) execution
+//! the population, never the horizon), executes every cell on a
+//! scoped-thread fan-out, and streams completed cells through
+//! [`ReportSink`]s in declaration order. Execution on any number of threads
+//! (`with_threads(1)` runs every cell on the calling thread) and eager
+//! materialisation ([`run_materialized`](ExperimentSession::run_materialized))
 //! produce byte-identical [`SessionReport`]s — and therefore byte-identical
 //! [`envelope`](SessionReport::envelope) JSON — which
 //! `tests/session_determinism.rs` property-tests across every built-in
-//! source. [`run_timed`](ExperimentSession::run_timed) additionally returns
-//! [`SessionPerf`] throughput counters (events, wall-clock, events/sec) for
-//! the envelope's optional `perf` block.
+//! source. [`run_timed`](ExperimentSession::run_timed) streams cells to
+//! sinks and additionally returns [`SessionPerf`] throughput counters
+//! (events, wall-clock, events/sec) for the envelope's optional `perf`
+//! block. [`SessionReport::outcomes`] turns one `(source, seed)` column into
+//! deltas relative to its baseline cell — the policy ablation's table.
 //!
-//! The pre-session entry points are kept as thin shims over this module:
-//! [`ExperimentGrid`](crate::ExperimentGrid),
-//! [`PolicySweep`](crate::sweep::PolicySweep),
-//! [`ReplayGrid`](crate::ReplayGrid), and
-//! [`PolicyEvaluation`](crate::PolicyEvaluation) all build an
-//! `ExperimentSession` internally, so new workload sources and policy
-//! families plug in once and are immediately available everywhere.
+//! The policy sweep ([`PolicySweep`](crate::sweep::PolicySweep)) declares
+//! its parameter spaces in sweep vocabulary and lowers them into one session,
+//! so new workload sources and policy families plug in once and are
+//! immediately available everywhere. One-off simulations outside a session
+//! go through `faas_platform::SimulationSpec`.
 //!
 //! # Quick start
 //!
 //! ```
-//! use coldstarts::evaluation::Scenario;
 //! use coldstarts::session::{ExperimentSession, PolicyConfig, RegionSource};
+//! use coldstarts::Scenario;
 //! use faas_workload::population::PopulationConfig;
 //! use faas_workload::profile::{Calibration, RegionProfile};
 //!
@@ -76,7 +74,9 @@ pub mod seeds;
 pub mod sink;
 pub mod source;
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -85,20 +85,16 @@ use faas_platform::{NodeScenario, PlatformConfig, PolicyFactory, SimReport, Simu
 use faas_workload::WorkloadSpec;
 use fntrace::RegionId;
 
-use crate::evaluation::Scenario;
-use crate::experiment::{parallel_map, parallel_map_streamed, ScenarioPolicies};
+use crate::policies::{Scenario, ScenarioPolicies};
 use crate::sweep::SweepConfig;
 
 pub use envelope::{Envelope, JsonValue};
-pub use sink::{CellCollector, JsonWriter, ProgressLog, ReportSink};
+pub use sink::{CellCollector, ProgressLog, ReportSink};
 pub use source::{
     ChunkSource, FixedWorkloadSource, LoweredWorkload, PresetSource, RegionSource,
     ReplayTraceSource, ShardedLowered, SourceKind, SynthTraceSource, TraceDirSource,
     WorkloadSource,
 };
-
-/// Default maximum delay of the peak-shaving scenarios, in milliseconds.
-pub const DEFAULT_PEAK_SHAVING_DELAY_MS: u64 = 180_000;
 
 /// One typed policy configuration a session evaluates.
 ///
@@ -112,10 +108,7 @@ pub struct PolicyConfig {
 
 #[derive(Debug, Clone)]
 enum PolicyKind {
-    Scenario {
-        scenario: Scenario,
-        peak_shaving_delay_ms: u64,
-    },
+    Scenario(Scenario),
     Sweep(SweepConfig),
     /// A node-model scenario: baseline policies over a platform with
     /// `PlatformConfig::node` set to the scenario's pool (see
@@ -124,18 +117,10 @@ enum PolicyKind {
 }
 
 impl PolicyConfig {
-    /// A named ablation scenario with the default peak-shaving delay.
+    /// A named ablation scenario.
     pub fn scenario(scenario: Scenario) -> Self {
-        Self::scenario_with_delay(scenario, DEFAULT_PEAK_SHAVING_DELAY_MS)
-    }
-
-    /// A named ablation scenario with an explicit peak-shaving delay.
-    pub fn scenario_with_delay(scenario: Scenario, peak_shaving_delay_ms: u64) -> Self {
         Self {
-            kind: PolicyKind::Scenario {
-                scenario,
-                peak_shaving_delay_ms,
-            },
+            kind: PolicyKind::Scenario(scenario),
         }
     }
 
@@ -159,7 +144,7 @@ impl PolicyConfig {
     /// Stable label of the policy (scenario name or sweep config label).
     pub fn label(&self) -> &str {
         match &self.kind {
-            PolicyKind::Scenario { scenario, .. } => scenario.name(),
+            PolicyKind::Scenario(scenario) => scenario.name(),
             PolicyKind::Sweep(config) => config.label(),
             PolicyKind::NodeScenario(scenario) => scenario.name(),
         }
@@ -168,7 +153,7 @@ impl PolicyConfig {
     /// The scenario, when this policy is a named scenario.
     pub fn as_scenario(&self) -> Option<Scenario> {
         match &self.kind {
-            PolicyKind::Scenario { scenario, .. } => Some(*scenario),
+            PolicyKind::Scenario(scenario) => Some(*scenario),
             _ => None,
         }
     }
@@ -193,7 +178,7 @@ impl PolicyConfig {
     /// knob lives in the platform rewrite it; scenarios run `base` as-is).
     pub fn platform(&self, base: &PlatformConfig) -> PlatformConfig {
         match &self.kind {
-            PolicyKind::Scenario { .. } => base.clone(),
+            PolicyKind::Scenario(_) => base.clone(),
             PolicyKind::Sweep(config) => config.platform(base),
             PolicyKind::NodeScenario(scenario) => scenario.platform(base),
         }
@@ -203,7 +188,7 @@ impl PolicyConfig {
     /// workload, decidable without building one.
     pub fn adjusts_workload(&self) -> bool {
         match &self.kind {
-            PolicyKind::Scenario { .. } | PolicyKind::NodeScenario(_) => false,
+            PolicyKind::Scenario(_) | PolicyKind::NodeScenario(_) => false,
             PolicyKind::Sweep(config) => config.adjusts_workload(),
         }
     }
@@ -212,7 +197,7 @@ impl PolicyConfig {
     /// untransformed workload (sweep concurrency family scales limits).
     pub fn adjust_workload(&self, workload: &WorkloadSpec) -> Option<WorkloadSpec> {
         match &self.kind {
-            PolicyKind::Scenario { .. } | PolicyKind::NodeScenario(_) => None,
+            PolicyKind::Scenario(_) | PolicyKind::NodeScenario(_) => None,
             PolicyKind::Sweep(config) => config.apply_workload(workload),
         }
     }
@@ -224,22 +209,13 @@ impl PolicyConfig {
     /// tick interval from it.
     pub fn factory(&self, platform: &PlatformConfig) -> Arc<dyn PolicyFactory> {
         match &self.kind {
-            PolicyKind::Scenario {
-                scenario,
-                peak_shaving_delay_ms,
-            } => Arc::new(ScenarioPolicies::new(
-                *scenario,
-                platform,
-                *peak_shaving_delay_ms,
-            )),
+            PolicyKind::Scenario(scenario) => Arc::new(ScenarioPolicies::new(*scenario, platform)),
             PolicyKind::Sweep(config) => Arc::new(config.clone()),
             // Node scenarios isolate the platform's node layer: the policy
             // set is the unmodified baseline.
-            PolicyKind::NodeScenario(_) => Arc::new(ScenarioPolicies::new(
-                Scenario::Baseline,
-                platform,
-                DEFAULT_PEAK_SHAVING_DELAY_MS,
-            )),
+            PolicyKind::NodeScenario(_) => {
+                Arc::new(ScenarioPolicies::new(Scenario::Baseline, platform))
+            }
         }
     }
 }
@@ -309,6 +285,23 @@ impl SessionReport {
             .collect()
     }
 
+    /// Outcomes of one `(source, seed)` column, in policy order, relative
+    /// to that column's [`Scenario::Baseline`] cell. Returns `None` when the
+    /// session declares no baseline scenario or no such column.
+    pub fn outcomes(&self, source_index: usize, seed: u64) -> Option<Vec<ScenarioOutcome>> {
+        let column = self.column(source_index, seed);
+        let baseline = &column
+            .iter()
+            .find(|c| c.policy == Scenario::Baseline.name())?
+            .report;
+        Some(
+            column
+                .iter()
+                .map(|c| ScenarioOutcome::relative_to(baseline, c))
+                .collect(),
+        )
+    }
+
     /// Renders every cell as a fixed-width table, one row per cell, in
     /// deterministic cell order. Byte-identical for byte-identical results.
     pub fn render(&self) -> String {
@@ -366,6 +359,51 @@ impl SessionReport {
                     )
                 })),
             )
+    }
+}
+
+/// One cell's outcome compared with its column's baseline cell. A delta
+/// whose baseline quantity is zero is 0.0, never NaN.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioOutcome {
+    /// Label of the cell's policy.
+    pub policy: String,
+    /// Full simulator report.
+    pub report: SimReport,
+    /// Cold-start count reduction versus the baseline (1.0 = all removed).
+    pub cold_start_reduction: f64,
+    /// Mean added-latency reduction versus the baseline.
+    pub added_latency_reduction: f64,
+    /// Relative change in idle pod time versus the baseline (positive means
+    /// more idle capacity is being spent).
+    pub idle_time_change: f64,
+}
+
+impl ScenarioOutcome {
+    fn relative_to(baseline: &SimReport, cell: &SessionCell) -> Self {
+        let report = cell.report.clone();
+        let cold_start_reduction = if baseline.cold_starts == 0 {
+            0.0
+        } else {
+            1.0 - report.cold_starts as f64 / baseline.cold_starts as f64
+        };
+        let added_latency_reduction = if baseline.mean_added_latency_s <= 0.0 {
+            0.0
+        } else {
+            1.0 - report.mean_added_latency_s / baseline.mean_added_latency_s
+        };
+        let idle_time_change = if baseline.idle_pod_time_s <= 0.0 {
+            0.0
+        } else {
+            report.idle_pod_time_s / baseline.idle_pod_time_s - 1.0
+        };
+        Self {
+            policy: cell.policy.clone(),
+            report,
+            cold_start_reduction,
+            added_latency_reduction,
+            idle_time_change,
+        }
     }
 }
 
@@ -477,8 +515,8 @@ enum Execution {
 /// Declarative experiment session: policies × sources × seeds.
 ///
 /// See the [module documentation](self) for the architecture and a quick
-/// start. `run` executes every cell concurrently; `run_sequential` executes
-/// the same cells on the calling thread; both produce identical reports.
+/// start. `run` executes the cells on [`threads`](Self::threads) workers;
+/// every thread count, `1` included, produces the identical report.
 #[derive(Clone)]
 pub struct ExperimentSession {
     /// Policies to evaluate, in declaration order.
@@ -607,41 +645,29 @@ impl ExperimentSession {
         self.policies.len() * self.column_count()
     }
 
-    /// Executes the session concurrently over lazily lowered streams.
+    /// Executes the session over lazily lowered streams.
     pub fn run(&self) -> SessionReport {
-        self.execute(self.threads, &mut [], Execution::Streamed).0
-    }
-
-    /// Executes the same cells on the calling thread, in the same order.
-    pub fn run_sequential(&self) -> SessionReport {
-        self.execute(1, &mut [], Execution::Streamed).0
+        self.execute(&mut [], Execution::Streamed).0
     }
 
     /// Executes with each `(source, seed)` column materialised once and
     /// shared read-only across its policy cells — the pre-streaming
-    /// behaviour, kept as an escape hatch and as the oracle the
-    /// streamed-equals-materialised property tests compare against.
+    /// behaviour, kept as the oracle the streamed-equals-materialised
+    /// property tests compare against.
     pub fn run_materialized(&self) -> SessionReport {
-        self.execute(self.threads, &mut [], Execution::Materialized)
-            .0
+        self.execute(&mut [], Execution::Materialized).0
     }
 
-    /// Executes concurrently, streaming cells through `sinks` in declaration
-    /// order as they complete.
-    pub fn run_with_sinks(&self, sinks: &mut [&mut dyn ReportSink]) -> SessionReport {
-        self.execute(self.threads, sinks, Execution::Streamed).0
-    }
-
-    /// [`run_with_sinks`](Self::run_with_sinks) that additionally returns
-    /// the per-cell throughput counters (events, wall-clock, events/sec)
-    /// benchmark producers append as the envelope's `perf` block.
+    /// [`run`](Self::run) that streams cells through `sinks` in declaration
+    /// order as they complete, and additionally returns the per-cell
+    /// throughput counters (events, wall-clock, events/sec) benchmark
+    /// producers append as the envelope's `perf` block.
     pub fn run_timed(&self, sinks: &mut [&mut dyn ReportSink]) -> (SessionReport, SessionPerf) {
-        self.execute(self.threads, sinks, Execution::Streamed)
+        self.execute(sinks, Execution::Streamed)
     }
 
     fn execute(
         &self,
-        threads: usize,
         sinks: &mut [&mut dyn ReportSink],
         mode: Execution,
     ) -> (SessionReport, SessionPerf) {
@@ -657,7 +683,7 @@ impl ExperimentSession {
         // Streamed mode materialises nothing up front — each cell lowers its
         // source to a lazy stream on the worker that runs it.
         let workloads: Vec<Arc<WorkloadSpec>> = if mode == Execution::Materialized {
-            parallel_map(columns, threads, |i| {
+            parallel_map(columns, self.threads, |i| {
                 let (si, ki) = (i / seed_count, i % seed_count);
                 self.sources[si].workload(seeds::sim_seed(self.seeds[ki]))
             })
@@ -695,7 +721,7 @@ impl ExperimentSession {
         };
         // Sinks observe a per-cell clone during the run; the reports
         // themselves are moved into the final cells afterwards, so the
-        // sink-less paths (`run`, `run_sequential`) never copy a report.
+        // sink-less paths (`run`, `run_materialized`) never copy a report.
         let mut emit = |i: usize, outcome: &(SimReport, RegionId, f64)| {
             if sinks.is_empty() {
                 return;
@@ -707,7 +733,7 @@ impl ExperimentSession {
         };
         let outcomes = parallel_map_streamed(
             cell_count,
-            threads,
+            self.threads,
             |i| {
                 let (pi, wi) = (i / columns, i % columns);
                 let (si, ki) = (wi / seed_count, wi % seed_count);
@@ -827,6 +853,97 @@ impl ExperimentSession {
     }
 }
 
+/// Maps `f` over `0..n` on up to `threads` scoped workers (0 means one per
+/// available core), merging results in index order so the output is
+/// independent of scheduling.
+fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    parallel_map_streamed(n, threads, f, &mut |_, _| {})
+}
+
+/// [`parallel_map`] that additionally streams each result, in index order,
+/// to `on_ready` as soon as the contiguous prefix up to it has completed.
+///
+/// Workers buffer out-of-order completions; whichever worker closes a gap
+/// drains the ready prefix while holding the merge lock, so `on_ready`
+/// observes exactly the sequence `(0, &r0), (1, &r1), …` regardless of
+/// thread scheduling — this is what lets session sinks stream cells
+/// deterministically while the fan-out is still running.
+fn parallel_map_streamed<T, F>(
+    n: usize,
+    threads: usize,
+    f: F,
+    on_ready: &mut (dyn FnMut(usize, &T) + Send),
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if n == 0 {
+        return Vec::new();
+    }
+    let threads = if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|t| t.get())
+            .unwrap_or(1)
+    };
+    let workers = threads.min(n);
+    if workers <= 1 {
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            let value = f(i);
+            on_ready(i, &value);
+            out.push(value);
+        }
+        return out;
+    }
+
+    struct Merge<'a, T> {
+        /// Completed indices waiting for the prefix before them.
+        pending: BTreeMap<usize, T>,
+        /// Next index to release to `on_ready`.
+        next: usize,
+        /// Released results, in index order.
+        done: Vec<T>,
+        on_ready: &'a mut (dyn FnMut(usize, &T) + Send),
+    }
+
+    let next_cell = AtomicUsize::new(0);
+    let merge = Mutex::new(Merge {
+        pending: BTreeMap::new(),
+        next: 0,
+        done: Vec::with_capacity(n),
+        on_ready,
+    });
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next_cell.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(i);
+                let mut guard = merge.lock().expect("no poisoned workers");
+                let state = &mut *guard;
+                state.pending.insert(i, value);
+                while let Some(value) = state.pending.remove(&state.next) {
+                    (state.on_ready)(state.next, &value);
+                    state.done.push(value);
+                    state.next += 1;
+                }
+            });
+        }
+    });
+    let state = merge.into_inner().expect("no poisoned workers");
+    debug_assert!(state.pending.is_empty() && state.done.len() == n);
+    state.done
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,10 +1025,18 @@ mod tests {
     }
 
     #[test]
+    fn parallel_map_preserves_index_order() {
+        let out = parallel_map(100, 8, |i| i * 2);
+        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(parallel_map(0, 4, |i| i).is_empty());
+        assert_eq!(parallel_map(3, 1, |i| i), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn parallel_and_sequential_execution_agree_byte_for_byte() {
         let session = tiny_session();
         let parallel = session.run();
-        let sequential = session.run_sequential();
+        let sequential = session.clone().with_threads(1).run();
         assert_eq!(parallel, sequential);
         assert_eq!(parallel.render(), sequential.render());
         assert_eq!(
@@ -949,7 +1074,7 @@ mod tests {
     fn sinks_observe_cells_in_declaration_order() {
         let session = tiny_session();
         let mut collector = CellCollector::new();
-        let report = session.run_with_sinks(&mut [&mut collector]);
+        let (report, _) = session.run_timed(&mut [&mut collector]);
         assert_eq!(collector.cells, report.cells);
         // And the collector saw them in declaration order during the run.
         let indices: Vec<usize> = collector.cells.iter().map(|c| c.policy_index).collect();
@@ -969,6 +1094,35 @@ mod tests {
         assert_eq!(column.len(), 2);
         assert_eq!(column[0].policy, "baseline");
         assert_eq!(column[1].policy, "timer-prewarm");
+    }
+
+    #[test]
+    fn outcomes_are_relative_to_the_column_baseline() {
+        let report = tiny_session().run();
+        let outcomes = report.outcomes(1, 3).expect("baseline present");
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes[0].policy, "baseline");
+        assert_eq!(outcomes[0].cold_start_reduction, 0.0);
+        assert_eq!(outcomes[0].added_latency_reduction, 0.0);
+        assert_eq!(outcomes[0].idle_time_change, 0.0);
+        let prewarm = &outcomes[1];
+        assert_eq!(prewarm.policy, "timer-prewarm");
+        assert_eq!(prewarm.report, report.cell(1, 1, 3).unwrap().report);
+        assert!(prewarm.report.cold_starts <= outcomes[0].report.cold_starts);
+        // No such column, and no baseline to compare with.
+        assert!(report.outcomes(9, 3).is_none());
+        let without_baseline = ExperimentSession::new()
+            .scenarios(&[Scenario::TimerPrewarm])
+            .source(RegionSource::new(
+                RegionProfile::r3(),
+                Calibration {
+                    duration_days: 1,
+                    ..Calibration::default()
+                },
+                tiny_population(),
+            ))
+            .run();
+        assert!(without_baseline.outcomes(0, seeds::DEFAULT_SEED).is_none());
     }
 
     #[test]

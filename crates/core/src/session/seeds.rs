@@ -1,26 +1,16 @@
 //! The single definition point for experiment seed derivation.
 //!
-//! Before the session API, every entry point derived a cell's simulation seed
-//! on its own: the experiment grid indexed its seed list per cell, the policy
-//! sweep re-derived the seed per workload column, and
-//! `ReplayGrid::run_chunked` fell back to a hard-coded `7` when its seed list
-//! was empty. The derivations happened to agree for non-empty seed lists and
-//! silently disagreed on the defaults — exactly the kind of drift that makes
-//! "the same cell" produce different bytes depending on which API ran it.
-//!
-//! This module is now the only place a declared seed is turned into a
-//! simulation seed. Every entry point — [`ExperimentSession`] itself and the
-//! [`ExperimentGrid`](crate::ExperimentGrid),
-//! [`PolicySweep`](crate::sweep::PolicySweep),
-//! [`ReplayGrid`](crate::ReplayGrid), and
-//! [`PolicyEvaluation`](crate::PolicyEvaluation) shims over it — routes
-//! through [`sim_seed`] and [`first_seed`], and
-//! `tests/entry_point_equivalence.rs` asserts that the same `(source, seed)`
-//! cell is byte-identical across all of them.
+//! This module is the only place a declared seed is turned into a
+//! simulation seed: [`ExperimentSession`] — and therefore the
+//! [`PolicySweep`](crate::sweep::PolicySweep) declared over it — routes
+//! every cell through [`sim_seed`], so the same `(source, seed)` cell
+//! produces the same bytes whichever declaration ran it
+//! (`tests/sweep_determinism.rs` pins this for the sweep's replay columns).
 //!
 //! [`ExperimentSession`]: crate::session::ExperimentSession
 
-/// Seed used when an entry point is given an empty seed list.
+/// Seed a new [`ExperimentSession`](crate::session::ExperimentSession)
+/// declares, and the bench binaries' default `--seed`.
 pub const DEFAULT_SEED: u64 = 7;
 
 /// Maps a declared seed to the simulation seed of every cell that uses it.
@@ -35,14 +25,6 @@ pub fn sim_seed(declared: u64) -> u64 {
     declared
 }
 
-/// First declared seed, or [`DEFAULT_SEED`] for an empty list.
-///
-/// Single-seed paths (such as chunked replay) use this instead of re-deriving
-/// their own fallback.
-pub fn first_seed(seeds: &[u64]) -> u64 {
-    seeds.first().copied().map(sim_seed).unwrap_or(DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +34,5 @@ mod tests {
         for s in [0, 1, 7, u64::MAX] {
             assert_eq!(sim_seed(s), s);
         }
-    }
-
-    #[test]
-    fn first_seed_prefers_the_declaration_and_defaults_to_seven() {
-        assert_eq!(first_seed(&[13, 14]), 13);
-        assert_eq!(first_seed(&[]), DEFAULT_SEED);
-        assert_eq!(DEFAULT_SEED, 7);
     }
 }

@@ -8,13 +8,11 @@
 //! order regardless of thread scheduling, a sink's observable behaviour is
 //! identical for parallel and sequential execution.
 //!
-//! Three implementations cover the common needs: [`CellCollector`] keeps the
-//! cells in memory, [`ProgressLog`] narrates progress to a writer (stderr for
-//! the bench binaries), and [`JsonWriter`] serialises the base envelope to a
-//! file when the session completes.
+//! Two implementations cover the common needs: [`CellCollector`] keeps the
+//! cells in memory, and [`ProgressLog`] narrates progress to a writer (stderr
+//! for the bench binaries).
 
 use std::io::Write;
-use std::path::PathBuf;
 
 use super::{SessionCell, SessionReport};
 
@@ -99,40 +97,6 @@ impl<W: Write + Send> ReportSink for ProgressLog<W> {
             cell.report.requests,
             cell.report.cold_starts,
         );
-    }
-}
-
-/// Writes the base `faas-coldstarts/session/v1` envelope to a file when the
-/// session completes.
-///
-/// Producers that append kind-specific payload keys (the bench binaries)
-/// build their envelopes from the returned [`SessionReport`] instead; this
-/// sink covers the plain "give me the JSON" case.
-#[derive(Debug)]
-pub struct JsonWriter {
-    path: PathBuf,
-    kind: String,
-    /// Outcome of the write, populated by `on_complete`.
-    pub result: Option<std::io::Result<()>>,
-}
-
-impl JsonWriter {
-    /// Writes the envelope of the given kind to `path` on completion.
-    pub fn new(path: impl Into<PathBuf>, kind: impl Into<String>) -> Self {
-        Self {
-            path: path.into(),
-            kind: kind.into(),
-            result: None,
-        }
-    }
-}
-
-impl ReportSink for JsonWriter {
-    fn on_complete(&mut self, report: &SessionReport) {
-        self.result = Some(std::fs::write(
-            &self.path,
-            report.envelope(&self.kind).to_json(),
-        ));
     }
 }
 

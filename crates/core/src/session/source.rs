@@ -3,7 +3,8 @@
 //! A [`WorkloadSource`] is where a session cell's workload comes from. The
 //! trait is object-safe and `Send + Sync`, so one boxed source can be shared
 //! read-only across every worker thread of a session, and a new workload
-//! family plugs into grids, sweeps, and benches by implementing one method.
+//! family plugs into sessions, sweeps, and benches by implementing one
+//! method.
 //!
 //! The built-in implementations cover every origin the paper's experiments
 //! use:
@@ -11,15 +12,14 @@
 //! | Source | Origin |
 //! |---|---|
 //! | [`PresetSource`] | A [`ScenarioPreset`] distortion of a region profile |
-//! | [`RegionSource`] | A calibrated region, via [`MultiRegionWorkload`] |
+//! | [`RegionSource`] | A calibrated region, via [`WorkloadSpec::generate`] |
 //! | [`ReplayTraceSource`] | A replay-tagged workload lowered from trace records |
 //! | [`SynthTraceSource`] | A seeded [`fntrace::synth`] trace, lowered per seed |
 //! | [`FixedWorkloadSource`] | Any pre-built workload, shared as-is |
 //! | [`ChunkSource`] | One time window of a longer workload |
 //!
-//! These replace the ad-hoc per-subsystem selection that existed before the
-//! session API: the sweep's `SweepWorkloadSource`/`ReplaySource` pair and the
-//! grid's region lists are now thin shims that construct sources.
+//! The sweep's `ReplaySource` list lowers into [`ReplayTraceSource`]s and its
+//! presets × regions into [`PresetSource`]s.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -31,7 +31,7 @@ use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::replay::{StreamedTraceDir, TraceReplayWorkload, TraceStreamError};
 use faas_workload::stream::{ArrivalStream, ShardedStream, SpecStream, StreamedWorkload};
-use faas_workload::{MultiRegionWorkload, ScenarioPreset, ShardPlan, WorkloadSpec};
+use faas_workload::{ScenarioPreset, ShardPlan, WorkloadSpec};
 use fntrace::synth::SynthTraceSpec;
 use fntrace::{RegionId, RegionTrace};
 
@@ -40,7 +40,7 @@ use fntrace::{RegionId, RegionTrace};
 pub enum SourceKind {
     /// A synthetic scenario preset applied to a region profile.
     Preset,
-    /// A calibrated region workload (the experiment grid's axis).
+    /// A calibrated region workload.
     Region,
     /// A replayed trace.
     Replay,
@@ -280,9 +280,9 @@ fn shard_streamed(streamed: StreamedWorkload, shards: u32) -> ShardedLowered {
     }
 }
 
-/// A calibrated region workload — the experiment grid's workload axis,
-/// generated through [`MultiRegionWorkload`] so a session region is
-/// byte-identical to the same region inside any multi-region set.
+/// A calibrated region workload, generated by [`WorkloadSpec::generate`],
+/// which salts the seed with the region index: a region's workload is the
+/// same whichever other regions a session declares beside it.
 #[derive(Debug, Clone)]
 pub struct RegionSource {
     /// The region profile workloads are generated for.
@@ -310,7 +310,7 @@ impl RegionSource {
         }
     }
 
-    /// One source per profile — the session form of a multi-region grid.
+    /// One source per profile, sharing calibration and population.
     pub fn multi(
         profiles: &[RegionProfile],
         calibration: Calibration,
@@ -333,19 +333,17 @@ impl WorkloadSource for RegionSource {
     }
 
     fn workload(&self, seed: u64) -> Arc<WorkloadSpec> {
-        let mut multi = MultiRegionWorkload::generate(
-            std::slice::from_ref(&self.profile),
+        Arc::new(WorkloadSpec::generate(
+            &self.profile,
             self.calibration,
             &self.population,
             seed,
-        );
-        Arc::new(multi.workloads.remove(0))
+        ))
     }
 
     fn lower(&self, seed: u64) -> LoweredWorkload {
-        // `MultiRegionWorkload` generates each region with
-        // `WorkloadSpec::generate`, whose streaming twin this is — the
-        // lowered stream collects to the exact multi-region member.
+        // The streaming twin of `WorkloadSpec::generate`: the lowered
+        // stream collects to exactly `workload(seed)`'s events.
         let streamed =
             StreamedWorkload::generate(&self.profile, self.calibration, &self.population, seed);
         let stream = Box::new(streamed.stream());
@@ -619,8 +617,8 @@ impl WorkloadSource for SynthTraceSource {
 
 /// Any pre-built workload, used verbatim for every seed.
 ///
-/// This is the single-workload corner of the session — what
-/// [`PolicyEvaluation`](crate::PolicyEvaluation) wraps its input in.
+/// This is the single-workload corner of the session: the figures'
+/// policy ablation runs its one generated workload through it.
 #[derive(Debug, Clone)]
 pub struct FixedWorkloadSource {
     label: String,
@@ -791,18 +789,8 @@ mod tests {
             duration_days: 1,
             ..Calibration::default()
         };
-        let source = RegionSource::new(RegionProfile::r3(), calibration, tiny_population());
-        assert_eq!(source.label(), "region/r3");
-        let multi = MultiRegionWorkload::generate(
-            &[RegionProfile::r2(), RegionProfile::r3()],
-            calibration,
-            &tiny_population(),
-            5,
-        );
-        assert_eq!(
-            source.workload(5).as_ref(),
-            multi.region(RegionId::new(3)).unwrap()
-        );
+        // Each region of a multi-region set is its own `generate` call, so
+        // it does not depend on which other regions are in the set.
         let all = RegionSource::multi(
             &[RegionProfile::r2(), RegionProfile::r3()],
             calibration,
@@ -810,6 +798,13 @@ mod tests {
         );
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].label(), "region/r2");
+        assert_eq!(all[1].label(), "region/r3");
+        for (source, profile) in all.iter().zip([RegionProfile::r2(), RegionProfile::r3()]) {
+            let direct = WorkloadSpec::generate(&profile, calibration, &tiny_population(), 5);
+            assert_eq!(*source.workload(5), direct);
+            assert_eq!(source.workload(5), source.workload(5));
+            assert_eq!(direct.region, profile.region);
+        }
     }
 
     fn synth_spec() -> SynthTraceSpec {

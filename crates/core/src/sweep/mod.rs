@@ -1,16 +1,15 @@
 //! Policy parameter sweeps with Pareto reporting.
 //!
 //! The paper's central tension is cold-start rate versus the memory wasted
-//! keeping idle pods warm. A single [`ExperimentGrid`](crate::ExperimentGrid)
-//! run shows one policy configuration at a time; this module sweeps whole
-//! parameter spaces instead:
+//! keeping idle pods warm. A policy ablation shows one named configuration
+//! at a time; this module sweeps whole parameter spaces instead:
 //!
 //! 1. each policy family ([`PolicyFamily`]) exposes a [`ParamSpace`] — the
 //!    named axes it can be tuned along;
 //! 2. a [`PolicySweep`] expands every space's cross-product into concrete
 //!    [`SweepConfig`]s and fans the resulting
-//!    presets × regions × seeds × configs cells out over the experiment
-//!    grid's parallel engine, deterministically;
+//!    presets × regions × seeds × configs cells out as one
+//!    [`ExperimentSession`], deterministically;
 //! 3. the results fold into a [`SweepReport`]: per-configuration cold-start
 //!    rate, p99 cold-start wait, memory-GB-seconds wasted, and the 2-D
 //!    Pareto front over (cold-start rate, memory waste).
@@ -21,14 +20,11 @@
 //! [`SweepReport::to_envelope`] in the shared, byte-deterministic
 //! `faas-coldstarts/session/v1` envelope.
 //!
-//! Since the [`crate::session`] redesign, [`PolicySweep`] is a thin shim: it
-//! builds an [`ExperimentSession`] from one [`PresetSource`] per
+//! [`PolicySweep::session`] declares that session — one [`PresetSource`] per
 //! (preset, region) pair plus one [`ReplayTraceSource`] per replayed trace,
-//! with one sweep [`PolicyConfig`] per expanded configuration, and folds the
-//! session cells into the
-//! historical [`SweepReport`] shape. New code should declare sessions
-//! directly; the sweep type remains for the parameter-space vocabulary
-//! (spaces, configurations, Pareto fronts).
+//! with one sweep [`PolicyConfig`] per expanded configuration — and
+//! [`PolicySweep::fold`] folds its cells into a [`SweepReport`] with the
+//! parameter-space vocabulary (spaces, configurations, Pareto fronts).
 
 pub mod params;
 pub mod pareto;
@@ -43,7 +39,7 @@ use faas_workload::profile::RegionProfile;
 use faas_workload::{ScenarioPreset, WorkloadSpec};
 use fntrace::RegionId;
 
-use crate::session::envelope::{self, f64_lit, push_str_lit, Envelope, JsonValue};
+use crate::session::envelope::{self, Envelope, JsonValue};
 use crate::session::{
     ExperimentSession, PolicyConfig, PresetSource, ReplayTraceSource, SourceKind, WorkloadSource,
 };
@@ -156,8 +152,8 @@ impl PolicySweep {
     /// The equivalent [`ExperimentSession`]: one
     /// [`PresetSource`] per (preset, region) pair plus one
     /// [`ReplayTraceSource`] per replayed trace, with one sweep
-    /// [`PolicyConfig`] per expanded configuration. `run` and
-    /// `run_sequential` execute exactly this session and fold its cells.
+    /// [`PolicyConfig`] per expanded configuration. `run` executes exactly
+    /// this session and folds its cells.
     pub fn session(&self) -> ExperimentSession {
         let preset_sources = self.presets.iter().flat_map(|&preset| {
             self.regions.iter().map(move |region| {
@@ -183,14 +179,9 @@ impl PolicySweep {
             .source_arcs(preset_sources.chain(replay_sources))
     }
 
-    /// Executes the sweep concurrently.
+    /// Executes the sweep on [`threads`](Self::threads) workers.
     pub fn run(&self) -> SweepReport {
         self.fold(self.session().run())
-    }
-
-    /// Executes the same cells on the calling thread, in the same order.
-    pub fn run_sequential(&self) -> SweepReport {
-        self.fold(self.session().run_sequential())
     }
 
     /// Folds session cells (config-major, then preset/region/seed — the
@@ -417,16 +408,12 @@ impl SweepReport {
         }
     }
 
-    /// Migration shim serialising the report as the shared
-    /// `faas-coldstarts/session/v1` [`Envelope`] (kind `"sweep"`): the common
-    /// session section — `policies`, `sources`, `seeds`, `cell_count`,
-    /// `cells` — followed by the sweep payload (`duration_days`, `presets`,
-    /// `replays`, `regions`, `families`, `configs`, `pareto_front`).
-    ///
-    /// This is what `BENCH_sweep.json` now contains; the legacy
-    /// `faas-coldstarts/sweep/v1` layout of [`to_json`](Self::to_json)
-    /// remains available while downstream consumers migrate, and CI's schema
-    /// validation accepts both during the transition.
+    /// Serialises the report as the shared `faas-coldstarts/session/v1`
+    /// [`Envelope`] (kind `"sweep"`): the common session section —
+    /// `policies`, `sources`, `seeds`, `cell_count`, `cells` — followed by
+    /// the sweep payload (`duration_days`, `presets`, `replays`, `regions`,
+    /// `families`, `configs`, `pareto_front`). This is what
+    /// `BENCH_sweep.json` contains. Byte-identical for identical reports.
     pub fn to_envelope(&self) -> Envelope {
         let mut sources: Vec<JsonValue> = Vec::new();
         for p in &self.presets {
@@ -549,123 +536,6 @@ impl SweepReport {
                 ),
             )
     }
-
-    /// Serialises the report into the **legacy** `BENCH_sweep.json` schema
-    /// (`faas-coldstarts/sweep/v1`). Byte-identical for identical reports.
-    /// Kept for the transition to the shared session envelope; new consumers
-    /// should read [`to_envelope`](Self::to_envelope) output.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"faas-coldstarts/sweep/v1\",\n");
-        out.push_str(&format!("  \"duration_days\": {},\n", self.duration_days));
-
-        out.push_str("  \"presets\": [");
-        for (i, p) in self.presets.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_str_lit(&mut out, p.name());
-        }
-        out.push_str("],\n");
-
-        out.push_str("  \"replays\": [");
-        for (i, label) in self.replays.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_str_lit(&mut out, label);
-        }
-        out.push_str("],\n");
-
-        out.push_str("  \"regions\": [");
-        for (i, r) in self.regions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&r.index().to_string());
-        }
-        out.push_str("],\n");
-
-        out.push_str("  \"seeds\": [");
-        for (i, s) in self.seeds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&s.to_string());
-        }
-        out.push_str("],\n");
-
-        out.push_str("  \"families\": [");
-        for (i, f) in self.families().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_str_lit(&mut out, f);
-        }
-        out.push_str("],\n");
-
-        out.push_str(&format!("  \"cell_count\": {},\n", self.cells.len()));
-
-        out.push_str("  \"configs\": [\n");
-        for (i, c) in self.configs.iter().enumerate() {
-            out.push_str("    {\"family\": ");
-            push_str_lit(&mut out, c.config.family.name());
-            out.push_str(", \"label\": ");
-            push_str_lit(&mut out, c.config.label());
-            out.push_str(", \"params\": {");
-            for (j, (name, value)) in c.config.params.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                push_str_lit(&mut out, name);
-                out.push_str(": ");
-                match value {
-                    ParamValue::U64(v) => out.push_str(&v.to_string()),
-                    ParamValue::Str(s) => push_str_lit(&mut out, s),
-                }
-            }
-            out.push_str("}, ");
-            out.push_str(&format!("\"requests\": {}, ", c.requests));
-            out.push_str(&format!("\"cold_starts\": {}, ", c.cold_starts));
-            out.push_str(&format!(
-                "\"cold_start_rate\": {}, ",
-                f64_lit(c.cold_start_rate)
-            ));
-            out.push_str(&format!("\"p99_wait_s\": {}, ", f64_lit(c.p99_wait_s)));
-            out.push_str(&format!(
-                "\"mem_gb_s_wasted\": {}, ",
-                f64_lit(c.mem_gb_s_wasted)
-            ));
-            out.push_str(&format!("\"pareto\": {}}}", c.on_front));
-            out.push_str(if i + 1 < self.configs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-
-        out.push_str("  \"pareto_front\": [\n");
-        for (i, &ci) in self.pareto.iter().enumerate() {
-            let c = &self.configs[ci];
-            out.push_str("    {\"label\": ");
-            push_str_lit(&mut out, c.config.label());
-            out.push_str(&format!(
-                ", \"cold_start_rate\": {}, \"mem_gb_s_wasted\": {}}}",
-                f64_lit(c.cold_start_rate),
-                f64_lit(c.mem_gb_s_wasted)
-            ));
-            out.push_str(if i + 1 < self.pareto.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -782,9 +652,19 @@ mod tests {
             // Replay cells carry per-function cold-start attribution.
             assert!(!cell.report.per_function.is_empty());
         }
-        // Deterministic across execution modes with replays mixed in.
-        assert_eq!(report, sweep.run_sequential());
-        assert!(report.to_json().contains("\"replays\": [\"synth-r2\"]"));
+        // Deterministic across thread counts with replays mixed in.
+        assert_eq!(
+            report,
+            PolicySweep {
+                threads: 1,
+                ..sweep
+            }
+            .run()
+        );
+        assert!(report
+            .to_envelope()
+            .to_json()
+            .contains("\"replays\": [\"synth-r2\"]"));
     }
 
     #[test]
@@ -864,40 +744,22 @@ mod tests {
             assert!(doc.contains(key), "missing {key}");
         }
         assert!(doc.contains("{\"label\": \"preset/diurnal/r2\", \"kind\": \"preset\"}"));
-        // The envelope is as deterministic as the legacy document.
-        let again = sweep.run_sequential();
+        assert!(doc.ends_with("}\n"));
+        // The envelope is deterministic across thread counts.
+        let again = PolicySweep {
+            threads: 1,
+            ..sweep
+        }
+        .run();
         assert_eq!(doc.as_bytes(), again.to_envelope().to_json().as_bytes());
         // Every cell row carries the shared metric keys.
         assert!(doc.contains("\"policy\": \"keepalive/mode=fixed,duration_ms=30000\""));
         assert!(doc.contains("\"mem_gb_s_wasted\""));
-    }
-
-    #[test]
-    fn json_has_the_stable_schema_shape() {
-        let report = tiny_sweep().run();
-        let json = report.to_json();
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        for key in [
-            "\"schema\": \"faas-coldstarts/sweep/v1\"",
-            "\"duration_days\"",
-            "\"presets\"",
-            "\"replays\": []",
-            "\"regions\"",
-            "\"seeds\"",
-            "\"families\"",
-            "\"cell_count\": 12",
-            "\"configs\"",
-            "\"pareto_front\"",
-            "\"mem_gb_s_wasted\"",
-        ] {
-            assert!(json.contains(key), "missing {key}");
-        }
         // Balanced braces/brackets — cheap structural sanity without a
-        // parser (no string in the schema contains these characters).
+        // parser (no label in the document contains these characters).
         let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
+            doc.chars().filter(|&c| c == open).count()
+                == doc.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}'));
         assert!(balance('[', ']'));

@@ -3,10 +3,9 @@
 //! [`SimulationEngine`] owns one run's policies and drives a
 //! [`SimState`] through a workload: arrivals, completions, keep-alive
 //! expiries, pre-warm ticks, and admission-control delays. Engines are
-//! single-use by design — they are stamped out either by the compatibility
-//! [`Simulator`](crate::Simulator) builder or, for replicated experiment
-//! runs, by a [`SimulationSpec`](crate::SimulationSpec) whose policy factory
-//! builds a fresh set of policies per run.
+//! single-use by design — they are stamped out by a
+//! [`SimulationSpec`](crate::SimulationSpec) whose policy factory builds a
+//! fresh set of policies per run.
 //!
 //! The loop is *epoch-quantized*: simulated time is cut at fixed
 //! [`epoch_ms`](crate::PlatformConfig::epoch_ms) boundaries, and shared

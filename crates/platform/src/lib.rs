@@ -61,7 +61,6 @@ pub mod policy;
 pub mod pool;
 pub mod report;
 pub mod shard;
-pub mod simulator;
 pub mod spec;
 pub mod state;
 
@@ -82,5 +81,4 @@ pub use policy::{
 pub use pool::{PoolConfig, ResourcePools};
 pub use report::{FunctionStats, LatencyStats, SimReport};
 pub use shard::{EpochLedger, EpochSnapshot, ShardDelta};
-pub use simulator::Simulator;
 pub use spec::{BaselinePolicies, PolicyFactory, SimulationSpec};

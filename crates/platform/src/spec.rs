@@ -1,9 +1,7 @@
 //! Replicable simulation specifications.
 //!
-//! The original [`Simulator`](crate::Simulator) builder owns boxed policy
-//! objects, so it is consumed by every run — fine for a one-off simulation,
-//! useless for an experiment layer that wants to stamp out hundreds of
-//! identical runs across threads. [`SimulationSpec`] fixes that: it holds a
+//! [`SimulationSpec`] is the one way to run a simulation, whether a one-off
+//! run or one of hundreds of identical runs across threads: it holds a
 //! [`PolicyFactory`] (cheap to share, `Send + Sync`) instead of policy
 //! instances, and builds a fresh [`SimulationEngine`] — with fresh policy
 //! state — for every [`run`](SimulationSpec::run). Two runs of the same spec
@@ -252,15 +250,14 @@ impl Default for SimulationSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
     use faas_workload::population::PopulationConfig;
     use faas_workload::profile::{Calibration, RegionProfile};
 
-    fn tiny_workload(seed: u64) -> WorkloadSpec {
+    fn tiny_workload(days: u32, seed: u64) -> WorkloadSpec {
         WorkloadSpec::generate(
             &RegionProfile::r2(),
             Calibration {
-                duration_days: 1,
+                duration_days: days,
                 ..Calibration::default()
             },
             &PopulationConfig {
@@ -273,9 +270,29 @@ mod tests {
         )
     }
 
+    /// Baseline policies with a fixed keep-alive of the given length, in
+    /// milliseconds.
+    struct FixedFor(u64);
+
+    impl PolicyFactory for FixedFor {
+        fn keep_alive(&self, _workload: &WorkloadSpec) -> Box<dyn KeepAlivePolicy> {
+            Box::new(FixedKeepAlive {
+                duration_ms: self.0,
+            })
+        }
+
+        fn prewarm(&self, _workload: &WorkloadSpec) -> Box<dyn PrewarmPolicy> {
+            Box::new(NoPrewarm)
+        }
+
+        fn admission(&self, _workload: &WorkloadSpec) -> Box<dyn AdmissionPolicy> {
+            Box::new(NoAdmissionControl)
+        }
+    }
+
     #[test]
     fn spec_is_reusable_and_deterministic() {
-        let workload = tiny_workload(21);
+        let workload = tiny_workload(1, 21);
         let spec = SimulationSpec::new().with_seed(4);
         let (a, ta) = spec.run(&workload);
         let (b, tb) = spec.run(&workload);
@@ -285,16 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn spec_matches_compat_simulator() {
-        let workload = tiny_workload(22);
-        let (from_spec, _) = SimulationSpec::new().with_seed(7).run(&workload);
-        let (from_builder, _) = Simulator::new().with_seed(7).run(&workload);
-        assert_eq!(from_spec, from_builder);
-    }
-
-    #[test]
     fn spec_is_shareable_across_threads() {
-        let workload = tiny_workload(23);
+        let workload = tiny_workload(1, 23);
         let spec = SimulationSpec::new().with_seed(9);
         let (sequential, _) = spec.run(&workload);
         let reports: Vec<SimReport> = std::thread::scope(|scope| {
@@ -314,11 +323,108 @@ mod tests {
 
     #[test]
     fn baseline_factory_labels_policies() {
-        let workload = tiny_workload(24);
+        let workload = tiny_workload(1, 24);
         let factory = BaselinePolicies;
         assert_eq!(factory.label(), "baseline");
         assert_eq!(factory.keep_alive(&workload).name(), "fixed");
         assert_eq!(factory.prewarm(&workload).name(), "no-prewarm");
         assert_eq!(factory.admission(&workload).name(), "no-admission-control");
+    }
+
+    #[test]
+    fn simulation_accounts_for_every_request() {
+        let workload = tiny_workload(1, 1);
+        let (report, trace) = SimulationSpec::new().run(&workload);
+        assert_eq!(report.requests, workload.len() as u64);
+        assert_eq!(report.requests, report.warm_starts + report.cold_starts);
+        assert!(report.cold_starts > 0);
+        let trace = trace.expect("trace recorded by default");
+        assert_eq!(trace.requests.len() as u64, report.requests);
+        assert_eq!(trace.cold_starts.len() as u64, report.cold_starts);
+    }
+
+    #[test]
+    fn simulation_is_deterministic() {
+        let workload = tiny_workload(1, 2);
+        let (a, ta) = SimulationSpec::new().with_seed(9).run(&workload);
+        let (b, tb) = SimulationSpec::new().with_seed(9).run(&workload);
+        assert_eq!(a, b);
+        assert_eq!(ta, tb);
+        let (c, _) = SimulationSpec::new().with_seed(10).run(&workload);
+        assert_eq!(a.requests, c.requests);
+        assert_ne!(a.cold_start_latency.mean_s, c.cold_start_latency.mean_s);
+    }
+
+    #[test]
+    fn trace_recording_can_be_disabled() {
+        let workload = tiny_workload(1, 3);
+        let (report, trace) = SimulationSpec::new()
+            .with_config(PlatformConfig {
+                record_trace: false,
+                ..PlatformConfig::default()
+            })
+            .run(&workload);
+        assert!(trace.is_none());
+        assert!(report.requests > 0);
+    }
+
+    #[test]
+    fn cold_start_components_sum_in_simulated_trace() {
+        let workload = tiny_workload(1, 4);
+        let (_, trace) = SimulationSpec::new().run(&workload);
+        let trace = trace.unwrap();
+        assert!(!trace.cold_starts.is_empty());
+        for cs in trace.cold_starts.records() {
+            assert_eq!(cs.component_sum_us(), cs.cold_start_us);
+        }
+        // Every cold-started pod serves at least one request.
+        let request_pods: std::collections::HashSet<_> =
+            trace.requests.records().iter().map(|r| r.pod).collect();
+        for cs in trace.cold_starts.records() {
+            assert!(request_pods.contains(&cs.pod));
+        }
+    }
+
+    #[test]
+    fn longer_keep_alive_reduces_cold_starts() {
+        let workload = tiny_workload(2, 5);
+        let run = |duration_ms| {
+            SimulationSpec::new()
+                .with_policies(Arc::new(FixedFor(duration_ms)))
+                .run(&workload)
+                .0
+        };
+        let (short, long) = (run(10_000), run(600_000));
+        assert!(
+            long.cold_starts < short.cold_starts,
+            "long {} short {}",
+            long.cold_starts,
+            short.cold_starts
+        );
+        // But longer keep-alive wastes more idle pod time.
+        assert!(long.idle_pod_time_s > short.idle_pod_time_s);
+    }
+
+    #[test]
+    fn pods_are_reused_for_frequent_functions() {
+        let workload = tiny_workload(1, 6);
+        let (report, _) = SimulationSpec::new().run(&workload);
+        assert!(report.warm_starts > 0, "no warm starts at all");
+        assert!(report.cold_start_rate() < 1.0);
+        assert!(report.peak_live_pods > 0);
+        assert!(report.pod_lifetime_s > 0.0);
+        assert!(report.idle_pod_time_s > 0.0);
+        assert!(report.idle_fraction() <= 1.0);
+    }
+
+    #[test]
+    fn report_names_reflect_policies() {
+        let workload = tiny_workload(1, 7);
+        let (report, _) = SimulationSpec::new().run(&workload);
+        assert_eq!(report.keep_alive_policy, "fixed");
+        assert_eq!(report.prewarm_policy, "no-prewarm");
+        assert_eq!(report.admission_policy, "no-admission-control");
+        assert_eq!(report.delayed_requests, 0);
+        assert_eq!(report.prewarmed_pods, 0);
     }
 }

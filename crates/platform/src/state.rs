@@ -4,8 +4,8 @@
 //! replays: the event queue, live pods, per-function histories and RNG
 //! streams, the snapshot of shared capacity, and the report being
 //! accumulated. The event loop in [`crate::engine`] drives it; splitting the
-//! two keeps the loop readable and lets alternative drivers (the experiment
-//! grid, future incremental re-simulation) reuse the state transitions
+//! two keeps the loop readable and lets alternative drivers (the sharded
+//! run, future incremental re-simulation) reuse the state transitions
 //! unchanged.
 //!
 //! A state covers a *shard*: a subset of the workload table identified by

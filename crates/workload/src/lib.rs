@@ -52,7 +52,6 @@
 
 pub mod arrivals;
 pub mod latency;
-pub mod multi_region;
 pub mod population;
 pub mod presets;
 pub mod profile;
@@ -64,7 +63,6 @@ pub mod synth;
 
 pub use arrivals::{ArrivalGenerator, FunctionArrivals};
 pub use latency::{ColdStartComponents, ColdStartLatencyModel};
-pub use multi_region::MultiRegionWorkload;
 pub use population::{FunctionPopulation, FunctionSpec, PopulationConfig};
 pub use presets::ScenarioPreset;
 pub use profile::{Calibration, HolidayResponse, RegionProfile};

@@ -15,10 +15,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use coldstarts::evaluation::Scenario;
 use coldstarts::policies::cross_region::CrossRegionScheduler;
 use coldstarts::policies::pool_prediction::PoolDemandPredictor;
 use coldstarts::session::{ExperimentSession, RegionSource, SessionReport, WorkloadSource};
+use coldstarts::Scenario;
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::{SyntheticTraceBuilder, TraceScale};
@@ -27,32 +27,21 @@ use fntrace::RegionId;
 /// Prints one region's ablation table: per-scenario cold starts and the
 /// reductions relative to that region's baseline cell.
 fn print_region_table(report: &SessionReport, source_index: usize, seed: u64) {
-    let column = report.column(source_index, seed);
-    let Some(baseline) = column.first() else {
+    let Some(outcomes) = report.outcomes(source_index, seed) else {
         return;
     };
     println!(
         "{:<24} {:>12} {:>10} {:>14} {:>12}",
         "scenario", "cold starts", "reduction", "mean added (s)", "idle change"
     );
-    for cell in &column {
-        let reduction = if baseline.report.cold_starts == 0 {
-            0.0
-        } else {
-            1.0 - cell.report.cold_starts as f64 / baseline.report.cold_starts as f64
-        };
-        let idle_change = if baseline.report.idle_pod_time_s <= 0.0 {
-            0.0
-        } else {
-            cell.report.idle_pod_time_s / baseline.report.idle_pod_time_s - 1.0
-        };
+    for o in &outcomes {
         println!(
             "{:<24} {:>12} {:>9.1}% {:>14.4} {:>11.1}%",
-            cell.policy,
-            cell.report.cold_starts,
-            100.0 * reduction,
-            cell.report.mean_added_latency_s,
-            100.0 * idle_change,
+            o.policy,
+            o.report.cold_starts,
+            100.0 * o.cold_start_reduction,
+            o.report.mean_added_latency_s,
+            100.0 * o.idle_time_change,
         );
     }
 }

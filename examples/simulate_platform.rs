@@ -9,8 +9,11 @@
 //! cargo run --release --example simulate_platform
 //! ```
 
+use std::sync::Arc;
+
 use coldstarts::analysis::distributions::DistributionAnalysis;
-use faas_platform::{FixedKeepAlive, PlatformConfig, SimulationSpec, Simulator};
+use coldstarts::sweep::{ParamValue, PolicyFamily, SweepConfig};
+use faas_platform::{PlatformConfig, SimulationSpec};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::{StreamedWorkload, WorkloadSpec};
@@ -40,19 +43,25 @@ fn main() {
     );
 
     // Baseline: the production one-minute keep-alive.
-    let (baseline, trace) = Simulator::new().with_seed(3).run(&workload);
+    let (baseline, trace) = SimulationSpec::new().with_seed(3).run(&workload);
     println!("baseline (60 s keep-alive):\n{}\n", baseline.render());
 
-    // Ten-minute keep-alive: fewer cold starts, more idle pod time.
-    let (long_ka, _) = Simulator::new()
+    // Ten-minute keep-alive: fewer cold starts, more idle pod time. The
+    // sweep's keep-alive family names this point
+    // `keepalive/duration_ms=600000` (its mode defaults to fixed).
+    let spec = SimulationSpec::new()
         .with_seed(3)
         .with_config(PlatformConfig {
             record_trace: false,
             ..PlatformConfig::default()
-        })
-        .with_keep_alive(Box::new(FixedKeepAlive {
-            duration_ms: 600_000,
-        }))
+        });
+    let ten_minutes = SweepConfig::new(
+        PolicyFamily::KeepAlive,
+        vec![("duration_ms", ParamValue::U64(600_000))],
+    );
+    let (long_ka, _) = spec
+        .clone()
+        .with_policies(Arc::new(ten_minutes))
         .run(&workload);
     println!("10-minute keep-alive:\n{}\n", long_ka.render());
     println!(
@@ -79,12 +88,6 @@ fn main() {
         },
         7,
     );
-    let spec = SimulationSpec::new()
-        .with_seed(3)
-        .with_config(PlatformConfig {
-            record_trace: false,
-            ..PlatformConfig::default()
-        });
     let (eager, _) = spec.run(&workload);
     let (lazy, _) = spec.run_streamed(streamed.header(), streamed.stream());
     assert_eq!(eager, lazy, "streamed and materialised runs are identical");

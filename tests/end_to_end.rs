@@ -4,7 +4,7 @@
 
 use coldstarts::analysis::distributions::DistributionAnalysis;
 use coldstarts::pipeline::CharacterizationPipeline;
-use faas_platform::Simulator;
+use faas_platform::SimulationSpec;
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::{SyntheticTraceBuilder, TraceScale, WorkloadSpec};
@@ -73,7 +73,7 @@ fn simulated_trace_feeds_the_same_analysis() {
         },
         200,
     );
-    let (report, trace) = Simulator::new().with_seed(5).run(&workload);
+    let (report, trace) = SimulationSpec::new().with_seed(5).run(&workload);
     let trace = trace.expect("trace recorded");
     assert_eq!(report.requests, workload.len() as u64);
     assert_eq!(trace.requests.len() as u64, report.requests);
@@ -112,7 +112,7 @@ fn synthetic_and_simulated_cold_start_scales_agree() {
     let population = builder.build_population(&RegionProfile::r2());
     let mut rng = faas_stats::rng::Xoshiro256pp::seed_from_u64(301);
     let workload = WorkloadSpec::from_population(&population, calibration, &mut rng);
-    let (sim_report, _) = Simulator::new().with_seed(300).run(&workload);
+    let (sim_report, _) = SimulationSpec::new().with_seed(300).run(&workload);
 
     let synthetic_rate =
         synthetic_region.cold_starts.len() as f64 / synthetic_region.requests.len() as f64;

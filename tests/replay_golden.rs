@@ -3,16 +3,16 @@
 //! Two hand-written trace CSV filesets live under `tests/fixtures/`. The
 //! tests pin down (a) byte-exact CSV parsing — parsing a fixture and
 //! re-serialising it reproduces the committed bytes — and (b) byte-identical
-//! replay simulation reports whether the replay grid runs its cells in
-//! parallel or sequentially.
+//! replay simulation reports whether a replay session runs its cells on
+//! several threads or on one.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use coldstarts::evaluation::Scenario;
-use coldstarts::replay::ReplayGrid;
-use coldstarts::session::{ExperimentSession, ReplayTraceSource, TraceDirSource, WorkloadSource};
-use faas_platform::PlatformConfig;
+use coldstarts::session::{
+    ChunkSource, ExperimentSession, ReplayTraceSource, TraceDirSource, WorkloadSource,
+};
+use coldstarts::Scenario;
 use faas_workload::replay::TraceReplayWorkload;
 use fntrace::csv::{cold_start_table_to_csv, function_table_to_csv, request_table_to_csv};
 use fntrace::{FunctionId, RegionId, RegionTrace, Runtime, TriggerType, MILLIS_PER_HOUR};
@@ -141,48 +141,58 @@ fn streamed_ingestion_yields_byte_identical_session_envelopes() {
 #[test]
 fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
     let workload = Arc::new(TraceReplayWorkload::new().build(&fixture_trace()));
-    let grid = ReplayGrid {
-        workload,
-        scenarios: vec![
+    // Real worker threads so parallel scheduling is actually exercised.
+    let session = ExperimentSession::new()
+        .scenarios(&[
             Scenario::Baseline,
             Scenario::AdaptiveKeepAlive,
             Scenario::TimerPrewarm,
-        ],
-        seeds: vec![5, 6],
-        platform: PlatformConfig {
-            record_trace: false,
-            ..PlatformConfig::default()
-        },
-        peak_shaving_delay_ms: 180_000,
-        // Real worker threads so parallel scheduling is actually exercised.
-        threads: 4,
-    };
-    let parallel = grid.run();
-    let sequential = grid.run_sequential();
+        ])
+        .source(ReplayTraceSource::new("replay/r7", Arc::clone(&workload)))
+        .with_seeds(vec![5, 6])
+        .with_threads(4);
+    let parallel = session.run();
+    let sequential = session.clone().with_threads(1).run();
     assert_eq!(parallel, sequential);
     assert_eq!(
         parallel.render().as_bytes(),
         sequential.render().as_bytes(),
-        "rendered grid reports must be byte-identical"
+        "rendered session reports must be byte-identical"
     );
     // Repeated runs are stable too.
-    assert_eq!(parallel, grid.run());
+    assert_eq!(parallel, session.run());
 
+    assert_eq!(parallel.cells.len(), 6);
     for cell in &parallel.cells {
         assert_eq!(cell.report.requests, 8);
         assert_eq!(cell.region, RegionId::new(7));
         let attributed: u64 = cell.report.per_function.iter().map(|f| f.cold_starts).sum();
         assert_eq!(attributed, cell.report.cold_starts);
+        let requests: u64 = cell.report.per_function.iter().map(|f| f.requests).sum();
+        assert_eq!(requests, cell.report.requests);
     }
 
-    // Chunked replay covers the same events deterministically.
-    let chunks = grid.run_chunked(Scenario::Baseline, MILLIS_PER_HOUR);
-    let total: u64 = chunks.iter().map(|c| c.events).sum();
+    // Chunked replay covers the same events deterministically: one cell per
+    // hour-long window, in chronological order.
+    let chunks = ChunkSource::split(&workload, MILLIS_PER_HOUR);
+    let chunked = ExperimentSession::new()
+        .scenarios(&[Scenario::Baseline])
+        .source_arcs(
+            chunks
+                .iter()
+                .map(|c| Arc::new(c.clone()) as Arc<dyn WorkloadSource>),
+        )
+        .with_seeds(vec![5])
+        .with_threads(4);
+    let chunk_report = chunked.run();
+    let total: u64 = chunk_report
+        .cells
+        .iter()
+        .map(|c| c.report.events_processed)
+        .sum();
     assert_eq!(total, 8);
-    let sequential_chunks = ReplayGrid {
-        threads: 1,
-        ..grid.clone()
+    for w in chunks.windows(2) {
+        assert!(w[0].start_ms() < w[1].start_ms());
     }
-    .run_chunked(Scenario::Baseline, MILLIS_PER_HOUR);
-    assert_eq!(chunks, sequential_chunks);
+    assert_eq!(chunk_report, chunked.with_threads(1).run());
 }

@@ -78,7 +78,7 @@ fn preset_to_trace_to_replay_roundtrip_stays_within_one_percent() {
         .run(&replayed);
     assert_eq!(replay_report.requests, direct.requests);
 
-    // Acceptance criterion: cold-start-rate deviation below one percentage
+    // Acceptance bound: cold-start-rate deviation below one percentage
     // point against the direct synthetic run.
     let deviation = (replay_report.cold_start_rate() - direct.cold_start_rate()).abs();
     assert!(
@@ -159,10 +159,16 @@ fn full_policy_sweep_runs_end_to_end_on_a_replayed_trace() {
     }
 
     // Deterministic, byte-stable output with replays mixed in.
-    let sequential = sweep.run_sequential();
+    let sequential = PolicySweep {
+        threads: 1,
+        ..sweep
+    }
+    .run();
     assert_eq!(report, sequential);
-    assert_eq!(report.to_json().as_bytes(), sequential.to_json().as_bytes());
-    assert!(report
-        .to_json()
-        .contains("\"replays\": [\"replayed-bursty-r2\"]"));
+    let json = report.to_envelope().to_json();
+    assert_eq!(
+        json.as_bytes(),
+        sequential.to_envelope().to_json().as_bytes()
+    );
+    assert!(json.contains("\"replays\": [\"replayed-bursty-r2\"]"));
 }
