@@ -119,6 +119,21 @@ pub mod report;
 pub mod session;
 pub mod sweep;
 
+// Unit tests of whole experiments run through sessions, one module per
+// kind of experiment.
+#[cfg(test)]
+#[path = "tests/evaluation.rs"]
+mod evaluation;
+#[cfg(test)]
+#[path = "tests/experiment.rs"]
+mod experiment;
+#[cfg(test)]
+#[path = "tests/multi_region.rs"]
+mod multi_region;
+#[cfg(test)]
+#[path = "tests/replay.rs"]
+mod replay;
+
 pub use pipeline::CharacterizationPipeline;
 pub use policies::Scenario;
 pub use report::CharacterizationReport;

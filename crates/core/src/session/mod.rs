@@ -1097,35 +1097,6 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_are_relative_to_the_column_baseline() {
-        let report = tiny_session().run();
-        let outcomes = report.outcomes(1, 3).expect("baseline present");
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].policy, "baseline");
-        assert_eq!(outcomes[0].cold_start_reduction, 0.0);
-        assert_eq!(outcomes[0].added_latency_reduction, 0.0);
-        assert_eq!(outcomes[0].idle_time_change, 0.0);
-        let prewarm = &outcomes[1];
-        assert_eq!(prewarm.policy, "timer-prewarm");
-        assert_eq!(prewarm.report, report.cell(1, 1, 3).unwrap().report);
-        assert!(prewarm.report.cold_starts <= outcomes[0].report.cold_starts);
-        // No such column, and no baseline to compare with.
-        assert!(report.outcomes(9, 3).is_none());
-        let without_baseline = ExperimentSession::new()
-            .scenarios(&[Scenario::TimerPrewarm])
-            .source(RegionSource::new(
-                RegionProfile::r3(),
-                Calibration {
-                    duration_days: 1,
-                    ..Calibration::default()
-                },
-                tiny_population(),
-            ))
-            .run();
-        assert!(without_baseline.outcomes(0, seeds::DEFAULT_SEED).is_none());
-    }
-
-    #[test]
     fn envelope_carries_the_session_shape() {
         let report = tiny_session().run();
         let doc = report.envelope("session").to_json();

@@ -5,7 +5,7 @@
 //! [`PolicySweep`](crate::sweep::PolicySweep) declared over it — routes
 //! every cell through [`sim_seed`], so the same `(source, seed)` cell
 //! produces the same bytes whichever declaration ran it
-//! (`tests/sweep_determinism.rs` pins this for the sweep's replay columns).
+//! (`tests/entry_point_equivalence.rs` pins this).
 //!
 //! [`ExperimentSession`]: crate::session::ExperimentSession
 

@@ -744,7 +744,6 @@ mod tests {
             assert!(doc.contains(key), "missing {key}");
         }
         assert!(doc.contains("{\"label\": \"preset/diurnal/r2\", \"kind\": \"preset\"}"));
-        assert!(doc.ends_with("}\n"));
         // The envelope is deterministic across thread counts.
         let again = PolicySweep {
             threads: 1,
@@ -755,11 +754,33 @@ mod tests {
         // Every cell row carries the shared metric keys.
         assert!(doc.contains("\"policy\": \"keepalive/mode=fixed,duration_ms=30000\""));
         assert!(doc.contains("\"mem_gb_s_wasted\""));
+    }
+
+    #[test]
+    fn json_has_the_stable_schema_shape() {
+        let report = tiny_sweep().run();
+        let json = report.to_envelope().to_json();
+        assert!(json.starts_with("{\n"));
+        assert!(json.ends_with("}\n"));
+        for key in [
+            "\"duration_days\"",
+            "\"presets\"",
+            "\"replays\": []",
+            "\"regions\"",
+            "\"seeds\"",
+            "\"families\"",
+            "\"cell_count\": 12",
+            "\"configs\"",
+            "\"pareto_front\"",
+            "\"mem_gb_s_wasted\"",
+        ] {
+            assert!(json.contains(key), "missing {key}");
+        }
         // Balanced braces/brackets — cheap structural sanity without a
         // parser (no label in the document contains these characters).
         let balance = |open: char, close: char| {
-            doc.chars().filter(|&c| c == open).count()
-                == doc.chars().filter(|&c| c == close).count()
+            json.chars().filter(|&c| c == open).count()
+                == json.chars().filter(|&c| c == close).count()
         };
         assert!(balance('{', '}'));
         assert!(balance('[', ']'));

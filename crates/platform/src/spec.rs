@@ -270,8 +270,7 @@ mod tests {
         )
     }
 
-    /// Baseline policies with a fixed keep-alive of the given length, in
-    /// milliseconds.
+    /// Baseline policies with a fixed keep-alive of the given milliseconds.
     struct FixedFor(u64);
 
     impl PolicyFactory for FixedFor {

@@ -1,20 +1,17 @@
 //! Seed-derivation regression: the same `(source, seed)` cell must be
-//! byte-identical through **every** entry point. Before the session
-//! redesign, the grid, the sweep, and chunked replay each derived their
-//! simulation seeds independently (the sweep re-derived them per workload
-//! column, chunked replay hard-coded its own fallback); all of them now
-//! route through `coldstarts::session::seeds`, and this suite pins the
-//! equivalence.
+//! byte-identical through **every** entry point — a session over a
+//! generative or a pre-built source, a policy sweep, and a standalone
+//! `SimulationSpec` run. All of them take their simulation seed from
+//! `coldstarts::session::seeds`, and this suite pins the equivalence.
 
 use std::sync::Arc;
 
-use coldstarts::evaluation::{PolicyEvaluation, Scenario};
-use coldstarts::replay::ReplayGrid;
 use coldstarts::session::{
     ExperimentSession, FixedWorkloadSource, PolicyConfig, RegionSource, ReplayTraceSource,
 };
-use coldstarts::sweep::{ParamAxis, ParamSpace, PolicyFamily, PolicySweep};
-use faas_platform::{PlatformConfig, SimReport};
+use coldstarts::sweep::{ParamAxis, ParamSpace, PolicyFamily, PolicySweep, ReplaySource};
+use coldstarts::Scenario;
+use faas_platform::{SimReport, SimulationSpec};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::replay::TraceReplayWorkload;
@@ -23,13 +20,6 @@ use fntrace::synth::{SynthShape, SynthTraceSpec};
 use fntrace::RegionId;
 
 const SEED: u64 = 13;
-
-fn platform() -> PlatformConfig {
-    PlatformConfig {
-        record_trace: false,
-        ..PlatformConfig::default()
-    }
-}
 
 fn replayed_workload() -> Arc<WorkloadSpec> {
     let trace = SynthTraceSpec {
@@ -45,11 +35,9 @@ fn replayed_workload() -> Arc<WorkloadSpec> {
     Arc::new(TraceReplayWorkload::new().build(&trace))
 }
 
-/// The baseline scenario and the keep-alive sweep point
-/// `mode=fixed,duration_ms=60000` build identical policy sets (the platform
-/// default keep-alive is 60 s, no pre-warming, no admission control), so a
-/// cell with the same workload and seed must produce the same bytes through
-/// either policy vocabulary.
+/// The keep-alive sweep point `mode=fixed,duration_ms=60000` builds the
+/// baseline scenario's policy set (the platform default keep-alive is 60 s,
+/// no pre-warming, no admission control): both must give the same bytes.
 fn baseline_sweep_space() -> ParamSpace {
     ParamSpace {
         family: PolicyFamily::KeepAlive,
@@ -58,6 +46,33 @@ fn baseline_sweep_space() -> ParamSpace {
             ParamAxis::u64s("duration_ms", &[60_000]),
         ],
     }
+}
+
+/// A sweep of the baseline-equivalent point over the replayed trace alone.
+fn replay_sweep(workload: &Arc<WorkloadSpec>, seeds: Vec<u64>) -> PolicySweep {
+    PolicySweep {
+        presets: Vec::new(),
+        replays: vec![ReplaySource {
+            label: "replay/r2".into(),
+            workload: Arc::clone(workload),
+        }],
+        seeds,
+        spaces: vec![baseline_sweep_space()],
+        duration_days: 1,
+        threads: 4,
+        ..PolicySweep::default()
+    }
+}
+
+/// Runs `policy` over `workload` on a session's platform, outside a session.
+fn standalone(policy: &PolicyConfig, workload: &WorkloadSpec, seed: u64) -> SimReport {
+    let platform = policy.platform(&ExperimentSession::new().platform);
+    SimulationSpec::new()
+        .with_seed(seed)
+        .with_policies(policy.factory(&platform))
+        .with_config(platform)
+        .run(workload)
+        .0
 }
 
 fn assert_same_report(name: &str, report: &SimReport, reference: &SimReport) {
@@ -70,113 +85,73 @@ fn assert_same_report(name: &str, report: &SimReport, reference: &SimReport) {
 #[test]
 fn replay_cell_is_byte_identical_across_all_entry_points() {
     let workload = replayed_workload();
+    let sweep_point = PolicyConfig::sweep(baseline_sweep_space().expand().remove(0));
 
-    // Reference: the session API itself.
+    // Reference: the baseline scenario in a session over the replay source;
+    // the sweep point is declared beside it.
     let session = ExperimentSession::new()
-        .with_platform(platform())
         .scenarios(&[Scenario::Baseline])
+        .policy(sweep_point.clone())
         .source(ReplayTraceSource::new("replay/r2", Arc::clone(&workload)))
-        .with_seeds(vec![SEED]);
-    let reference = session.run().cells.remove(0).report;
+        .with_seeds(vec![SEED])
+        .with_threads(4)
+        .run();
+    let reference = &session.cell(0, 0, SEED).expect("cell exists").report;
 
-    // Entry point 1: the replay grid shim.
-    let grid = ReplayGrid {
-        workload: Arc::clone(&workload),
-        scenarios: vec![Scenario::Baseline],
-        seeds: vec![SEED],
-        platform: platform(),
-        peak_shaving_delay_ms: 180_000,
-        threads: 4,
-    };
-    assert_same_report("ReplayGrid", &grid.run().cells[0].report, &reference);
+    // Entry point 1: the same session, through the sweep vocabulary.
+    let point = &session.cell(1, 0, SEED).expect("cell exists").report;
+    assert_same_report("sweep-point session cell", point, reference);
 
-    // Entry point 2: the policy evaluation shim.
-    let evaluation = PolicyEvaluation {
-        platform: platform(),
-        seed: SEED,
-        peak_shaving_delay_ms: 180_000,
-    };
-    assert_same_report(
-        "PolicyEvaluation",
-        &evaluation.run_scenario(Scenario::Baseline, &workload),
-        &reference,
-    );
+    // Entry point 2: a standalone simulation of the same workload and seed.
+    let standalone = standalone(&PolicyConfig::scenario(Scenario::Baseline), &workload, SEED);
+    assert_same_report("SimulationSpec", &standalone, reference);
 
-    // Entry point 3: the policy sweep shim, with the replayed trace as its
-    // only column and the baseline-equivalent keep-alive point.
-    let sweep = PolicySweep {
-        presets: Vec::new(),
-        replays: vec![coldstarts::sweep::ReplaySource {
-            label: "replay/r2".into(),
-            workload: Arc::clone(&workload),
-        }],
-        seeds: vec![SEED],
-        spaces: vec![baseline_sweep_space()],
-        duration_days: 1,
-        threads: 4,
-        ..PolicySweep::default()
-    };
-    let sweep_report = sweep.run();
+    // Entry point 3: the policy sweep, with the replayed trace as its only
+    // column.
+    let sweep_report = replay_sweep(&workload, vec![SEED]).run();
     assert_eq!(sweep_report.cells.len(), 1);
-    assert_same_report("PolicySweep", &sweep_report.cells[0].report, &reference);
+    assert_same_report("PolicySweep", &sweep_report.cells[0].report, reference);
 }
 
 #[test]
 fn generated_cell_is_byte_identical_across_grid_evaluation_and_session() {
-    let calibration = Calibration {
-        duration_days: 1,
-        ..Calibration::default()
-    };
-    let population = PopulationConfig {
-        function_scale: 0.002,
-        volume_scale: 2.0e-6,
-        max_requests_per_day: 2_000.0,
-        min_functions: 15,
-    };
+    let region = RegionSource::new(
+        RegionProfile::r3(),
+        Calibration {
+            duration_days: 1,
+            ..Calibration::default()
+        },
+        PopulationConfig {
+            function_scale: 0.002,
+            volume_scale: 2.0e-6,
+            max_requests_per_day: 2_000.0,
+            min_functions: 15,
+        },
+    );
+    let workload = WorkloadSpec::generate(
+        &region.profile,
+        region.calibration,
+        &region.population,
+        SEED,
+    );
 
-    // Reference: a session over the region source.
+    // Reference: a session over the generative region source.
     let session = ExperimentSession::new()
-        .with_platform(platform())
         .scenarios(&[Scenario::TimerPrewarm])
-        .source(RegionSource::new(
-            RegionProfile::r3(),
-            calibration,
-            population,
-        ))
+        .source(region)
         .with_seeds(vec![SEED]);
     let reference = session.run().cells.remove(0).report;
 
-    // Entry point 1: the experiment grid shim.
-    let grid = coldstarts::experiment::ExperimentGrid {
-        scenarios: vec![Scenario::TimerPrewarm],
-        regions: vec![RegionProfile::r3()],
-        seeds: vec![SEED],
-        calibration,
-        population,
-        platform: platform(),
-        peak_shaving_delay_ms: 180_000,
-        threads: 4,
-    };
-    assert_same_report("ExperimentGrid", &grid.run().cells[0].report, &reference);
-
-    // Entry point 2: the evaluation shim over the identical workload (the
-    // session's fixed source wraps the same generated spec).
-    let workload = WorkloadSpec::generate(&RegionProfile::r3(), calibration, &population, SEED);
-    let evaluation = PolicyEvaluation {
-        platform: platform(),
-        seed: SEED,
-        peak_shaving_delay_ms: 180_000,
-    };
+    // Entry point 1: a standalone simulation of the identical workload.
     assert_same_report(
-        "PolicyEvaluation",
-        &evaluation.run_scenario(Scenario::TimerPrewarm, &workload),
+        "SimulationSpec",
+        &standalone(&session.policies[0], &workload, SEED),
         &reference,
     );
 
-    // Entry point 3: a session over the pre-generated workload — fixed and
+    // Entry point 2: a session over the pre-generated workload — fixed and
     // generative sources must agree for the same (workload, seed).
     let fixed = ExperimentSession::new()
-        .with_platform(platform())
         .scenarios(&[Scenario::TimerPrewarm])
         .source(FixedWorkloadSource::new("fixed", Arc::new(workload)))
         .with_seeds(vec![SEED]);
@@ -190,26 +165,13 @@ fn generated_cell_is_byte_identical_across_grid_evaluation_and_session() {
 #[test]
 fn sweep_replay_columns_share_the_session_seed_derivation_per_seed() {
     // Two declared seeds: the sweep's replay column for each seed must match
-    // the session cell for the same seed (this is the "sweep re-derives
-    // seeds per column" regression).
+    // the session cell for the same seed, so a sweep never re-derives seeds
+    // per workload column.
     let workload = replayed_workload();
-    let sweep = PolicySweep {
-        presets: Vec::new(),
-        replays: vec![coldstarts::sweep::ReplaySource {
-            label: "replay/r2".into(),
-            workload: Arc::clone(&workload),
-        }],
-        seeds: vec![SEED, SEED + 1],
-        spaces: vec![baseline_sweep_space()],
-        duration_days: 1,
-        threads: 4,
-        ..PolicySweep::default()
-    };
-    let report = sweep.run();
+    let report = replay_sweep(&workload, vec![SEED, SEED + 1]).run();
     assert_eq!(report.cells.len(), 2);
 
     let session = ExperimentSession::new()
-        .with_platform(platform())
         .policy(PolicyConfig::sweep(
             baseline_sweep_space().expand().remove(0),
         ))

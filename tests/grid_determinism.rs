@@ -1,35 +1,55 @@
-//! The parallel experiment grid must be a pure function of its declaration:
-//! running the same grid concurrently and sequentially has to produce
-//! identical reports for every (scenario, region, seed) cell, and the
-//! rendered results must be byte-identical.
+//! A scenarios × regions × seeds session, the paper's ablation, is a pure
+//! function of its declaration: every thread count gives identical cells,
+//! each equal to the same simulation run on its own.
 
-use coldstarts::evaluation::Scenario;
-use coldstarts::experiment::ExperimentGrid;
+use std::sync::Arc;
+
+use coldstarts::session::{ExperimentSession, RegionSource, WorkloadSource};
+use coldstarts::Scenario;
 use faas_platform::SimulationSpec;
+use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::WorkloadSpec;
-use fntrace::RegionId;
 
-fn tiny_grid() -> ExperimentGrid {
-    ExperimentGrid {
-        scenarios: vec![
+fn calibration() -> Calibration {
+    Calibration {
+        duration_days: 1,
+        ..Calibration::default()
+    }
+}
+
+fn population() -> PopulationConfig {
+    PopulationConfig {
+        function_scale: 0.002,
+        volume_scale: 2.0e-6,
+        max_requests_per_day: 2_000.0,
+        min_functions: 15,
+    }
+}
+
+fn grid(scenarios: &[Scenario], regions: &[RegionProfile]) -> ExperimentSession {
+    ExperimentSession::new().scenarios(scenarios).source_arcs(
+        RegionSource::multi(regions, calibration(), &population())
+            .into_iter()
+            .map(|s| Arc::new(s) as Arc<dyn WorkloadSource>),
+    )
+}
+
+fn tiny_grid() -> ExperimentSession {
+    grid(
+        &[
             Scenario::Baseline,
             Scenario::AdaptiveKeepAlive,
             Scenario::TimerPrewarm,
             Scenario::PeakShaving,
             Scenario::Combined,
         ],
-        regions: vec![RegionProfile::r2(), RegionProfile::r3()],
-        seeds: vec![31, 32],
-        calibration: Calibration {
-            duration_days: 1,
-            ..Calibration::default()
-        },
-        // Force real worker threads even on single-core CI machines so the
-        // parallel path (cross-thread scheduling + merge) is exercised.
-        threads: 4,
-        ..ExperimentGrid::default()
-    }
+        &[RegionProfile::r2(), RegionProfile::r3()],
+    )
+    .with_seeds(vec![31, 32])
+    // Force real worker threads even on single-core CI machines so the
+    // parallel path (cross-thread scheduling + merge) is exercised.
+    .with_threads(4)
 }
 
 #[test]
@@ -38,22 +58,16 @@ fn parallel_grid_matches_sequential_grid_cell_by_cell() {
     assert_eq!(grid.cell_count(), 20);
 
     let parallel = grid.run();
-    let sequential = grid.run_sequential();
+    let sequential = grid.clone().with_threads(1).run();
 
     assert_eq!(parallel.cells.len(), grid.cell_count());
     assert_eq!(sequential.cells.len(), grid.cell_count());
     // Cell-by-cell: same coordinates in the same order, identical reports.
     for (p, s) in parallel.cells.iter().zip(&sequential.cells) {
-        assert_eq!(p.scenario, s.scenario);
-        assert_eq!(p.region, s.region);
-        assert_eq!(p.seed, s.seed);
         assert_eq!(
-            p.report,
-            s.report,
-            "cell ({}, region {}, seed {}) diverged between parallel and sequential execution",
-            p.scenario.name(),
-            p.region.index(),
-            p.seed
+            p, s,
+            "cell ({}, {}, seed {}) diverged",
+            p.policy, p.source, p.seed
         );
     }
     assert_eq!(parallel, sequential);
@@ -73,65 +87,46 @@ fn parallel_grid_is_stable_across_repeated_runs() {
 fn grid_cells_match_independent_single_runs() {
     // A cell's report must depend only on its coordinates: replaying the
     // same (scenario, region, seed) through a standalone SimulationSpec
-    // outside the grid gives the same bytes.
+    // outside the session gives the same bytes.
     let grid = tiny_grid();
     let result = grid.run();
 
     for &seed in &grid.seeds {
-        let workload = WorkloadSpec::generate(
-            &RegionProfile::r3(),
-            grid.calibration,
-            &grid.population,
-            seed,
-        );
-        for &scenario in &grid.scenarios {
-            let spec = SimulationSpec::new()
-                .with_config(grid.platform.clone())
+        let workload =
+            WorkloadSpec::generate(&RegionProfile::r3(), calibration(), &population(), seed);
+        for (policy_index, policy) in grid.policies.iter().enumerate() {
+            let platform = policy.platform(&grid.platform);
+            let (standalone, _) = SimulationSpec::new()
                 .with_seed(seed)
-                .with_policies(std::sync::Arc::new(
-                    coldstarts::experiment::ScenarioPolicies::new(
-                        scenario,
-                        &grid.platform,
-                        grid.peak_shaving_delay_ms,
-                    ),
-                ));
-            let (standalone, _) = spec.run(&workload);
-            let cell = result
-                .cell(scenario, RegionId::new(3), seed)
-                .expect("cell exists");
-            assert_eq!(standalone, cell.report, "{} seed {seed}", scenario.name());
+                .with_policies(policy.factory(&platform))
+                .with_config(platform)
+                .run(&workload);
+            let cell = result.cell(policy_index, 1, seed).expect("cell exists");
+            assert_eq!(standalone, cell.report, "{} seed {seed}", policy.label());
         }
     }
 }
 
 #[test]
 fn full_ablation_covers_eight_scenarios_and_five_regions() {
-    let grid = ExperimentGrid {
-        regions: (1..=5)
-            .map(|i| RegionProfile::paper_region(i).expect("regions 1..=5 exist"))
-            .collect(),
-        calibration: Calibration {
-            duration_days: 1,
-            ..Calibration::default()
-        },
-        ..ExperimentGrid::default()
-    };
-    assert_eq!(grid.scenarios.len(), 8);
-    assert_eq!(grid.regions.len(), 5);
+    let grid = grid(&Scenario::ALL, &RegionProfile::paper_regions());
+    assert_eq!(grid.policies.len(), 8);
+    assert_eq!(grid.sources.len(), 5);
     assert_eq!(grid.cell_count(), 40);
 
     let result = grid.run();
     assert_eq!(result.cells.len(), 40);
-    for region in 1..=5u16 {
-        for &scenario in &Scenario::ALL {
-            let cell = result
-                .cell(scenario, RegionId::new(region), 7)
-                .unwrap_or_else(|| panic!("missing cell {} region {region}", scenario.name()));
-            assert!(cell.report.requests > 0);
-        }
+    for (source_index, region) in (1..=5u16).enumerate() {
+        let label = format!("region/r{region}");
+        assert_eq!(result.sources[source_index].label, label);
         // Every region's baseline column yields comparable outcomes.
-        let outcomes = result.outcomes(RegionId::new(region), 7).expect("baseline");
+        let outcomes = result.outcomes(source_index, 7).expect("baseline");
         assert_eq!(outcomes.len(), 8);
         assert_eq!(outcomes[0].cold_start_reduction, 0.0);
+        for (o, scenario) in outcomes.iter().zip(Scenario::ALL) {
+            assert_eq!(o.policy, scenario.name());
+            assert!(o.report.requests > 0, "empty cell {}, {label}", o.policy);
+            assert_eq!(o.report.requests, outcomes[0].report.requests);
+        }
     }
 }

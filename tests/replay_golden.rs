@@ -168,8 +168,6 @@ fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
         assert_eq!(cell.region, RegionId::new(7));
         let attributed: u64 = cell.report.per_function.iter().map(|f| f.cold_starts).sum();
         assert_eq!(attributed, cell.report.cold_starts);
-        let requests: u64 = cell.report.per_function.iter().map(|f| f.requests).sum();
-        assert_eq!(requests, cell.report.requests);
     }
 
     // Chunked replay covers the same events deterministically: one cell per

@@ -10,14 +10,13 @@
 use std::sync::Arc;
 
 use coldstarts::session::{
-    ExperimentSession, FixedWorkloadSource, PolicyConfig, PresetSource, RegionSource,
-    ReplayTraceSource, SourceKind, SynthTraceSource, WorkloadSource,
+    ExperimentSession, PolicyConfig, PresetSource, RegionSource, ReplayTraceSource, SourceKind,
+    SynthTraceSource, WorkloadSource,
 };
 use coldstarts::Scenario;
-use faas_platform::SimulationSpec;
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
-use faas_workload::{ScenarioPreset, WorkloadSpec};
+use faas_workload::ScenarioPreset;
 use fntrace::synth::{SynthShape, SynthTraceSpec};
 use fntrace::RegionId;
 use proptest::prelude::*;
@@ -160,117 +159,6 @@ fn every_source_lowers_to_the_stream_its_workload_materialises() {
                 source.label()
             );
         }
-    }
-}
-
-#[test]
-fn fixed_workload_cells_match_region_cells_and_standalone_runs() {
-    // A pre-generated workload shared through a fixed source, the generative
-    // region source, and a standalone `SimulationSpec` outside any session
-    // must all give the same bytes for the same (workload, seed): a cell
-    // depends only on its coordinates.
-    let seeds = vec![31, 32];
-    let policies = [Scenario::TimerPrewarm, Scenario::PeakShaving];
-    let region = ExperimentSession::new()
-        .scenarios(&policies)
-        .source(region_source(RegionProfile::r3()))
-        .with_seeds(seeds.clone())
-        .with_threads(4);
-    let region_report = region.run();
-    for &seed in &seeds {
-        let workload = WorkloadSpec::generate(
-            &RegionProfile::r3(),
-            tiny_calibration(),
-            &tiny_population(),
-            seed,
-        );
-        let fixed_report = ExperimentSession::new()
-            .scenarios(&policies)
-            .source(FixedWorkloadSource::new(
-                "fixed",
-                Arc::new(workload.clone()),
-            ))
-            .with_seeds(vec![seed])
-            .run();
-        for (policy_index, policy) in region.policies.iter().enumerate() {
-            let cell = &region_report
-                .cell(policy_index, 0, seed)
-                .expect("cell")
-                .report;
-            let fixed = &fixed_report
-                .cell(policy_index, 0, seed)
-                .expect("cell")
-                .report;
-            assert_eq!(fixed, cell, "{} seed {seed}", policy.label());
-            let platform = policy.platform(&region.platform);
-            let standalone = SimulationSpec::new()
-                .with_seed(seed)
-                .with_policies(policy.factory(&platform))
-                .with_config(platform)
-                .run(&workload)
-                .0;
-            assert_eq!(&standalone, cell, "{} seed {seed}", policy.label());
-        }
-    }
-}
-
-#[test]
-fn paper_region_ablation_reports_outcomes_against_each_baseline() {
-    // The full ablation: all eight scenarios over the five paper regions,
-    // plus an empty workload whose zero-cold-start baseline must give 0.0
-    // deltas, not NaN.
-    let empty = WorkloadSpec::generate(
-        &RegionProfile::r2(),
-        Calibration {
-            duration_days: 0,
-            ..Calibration::default()
-        },
-        &tiny_population(),
-        7,
-    );
-    assert!(empty.is_empty());
-    let regions: Vec<RegionProfile> = (1..=5)
-        .map(|i| RegionProfile::paper_region(i).expect("regions 1..=5 exist"))
-        .collect();
-    let session = ExperimentSession::new()
-        .scenarios(&Scenario::ALL)
-        .source_arcs(
-            RegionSource::multi(&regions, tiny_calibration(), &tiny_population())
-                .into_iter()
-                .map(|s| Arc::new(s) as Arc<dyn WorkloadSource>),
-        )
-        .source(FixedWorkloadSource::new("empty", Arc::new(empty)));
-    assert_eq!(session.cell_count(), 48);
-    let report = session.run();
-    let labels: Vec<&str> = report.sources.iter().map(|s| s.label.as_str()).collect();
-    assert_eq!(
-        labels,
-        [
-            "region/r1",
-            "region/r2",
-            "region/r3",
-            "region/r4",
-            "region/r5",
-            "empty"
-        ]
-    );
-    for (source_index, region) in regions.iter().enumerate() {
-        let outcomes = report.outcomes(source_index, 7).expect("baseline declared");
-        assert_eq!(outcomes.len(), 8);
-        assert_eq!(outcomes[0].policy, "baseline");
-        assert_eq!(outcomes[0].cold_start_reduction, 0.0);
-        for (o, scenario) in outcomes.iter().zip(Scenario::ALL) {
-            assert_eq!(o.policy, scenario.name());
-            assert!(o.report.requests > 0, "{} r{}", o.policy, region.region);
-            assert_eq!(o.report.requests, outcomes[0].report.requests);
-        }
-    }
-    let empty_outcomes = report.outcomes(5, 7).expect("baseline declared");
-    assert_eq!(empty_outcomes[0].report.cold_starts, 0);
-    for o in &empty_outcomes {
-        assert_eq!(o.cold_start_reduction, 0.0, "{}", o.policy);
-        assert_eq!(o.added_latency_reduction, 0.0, "{}", o.policy);
-        assert_eq!(o.idle_time_change, 0.0, "{}", o.policy);
     }
 }
 

@@ -4,16 +4,8 @@
 //! must be byte-identical — that is what lets CI diff benchmark artifacts
 //! across commits.
 
-use std::sync::Arc;
-
-use coldstarts::session::{ExperimentSession, PolicyConfig, ReplayTraceSource};
-use coldstarts::sweep::{ParamAxis, ParamSpace, PolicyFamily, PolicySweep, ReplaySource};
-use coldstarts::Scenario;
-use faas_platform::SimReport;
-use faas_workload::replay::TraceReplayWorkload;
+use coldstarts::sweep::{PolicyFamily, PolicySweep};
 use faas_workload::ScenarioPreset;
-use fntrace::synth::{SynthShape, SynthTraceSpec};
-use fntrace::RegionId;
 
 fn tiny_sweep() -> PolicySweep {
     PolicySweep {
@@ -70,71 +62,4 @@ fn different_seeds_change_the_results() {
     .run();
     assert_ne!(a, b);
     assert_ne!(a.to_envelope().to_json(), b.to_envelope().to_json());
-}
-
-#[test]
-fn sweep_replay_columns_share_the_session_seed_derivation_per_seed() {
-    // Two declared seeds: the sweep's replay column for each seed must match
-    // the session cell for the same seed, so a sweep never re-derives seeds
-    // per workload column.
-    let trace = SynthTraceSpec {
-        region: RegionId::new(2),
-        shape: SynthShape::Diurnal,
-        functions: 8,
-        duration_days: 1,
-        mean_requests_per_day: 150.0,
-        keep_alive_secs: 60.0,
-        seed: 21,
-    }
-    .generate();
-    let workload = Arc::new(TraceReplayWorkload::new().build(&trace));
-    let fixed_minute = ParamSpace {
-        family: PolicyFamily::KeepAlive,
-        axes: vec![
-            ParamAxis::strings("mode", &["fixed"]),
-            ParamAxis::u64s("duration_ms", &[60_000]),
-        ],
-    };
-    let seeds = vec![13, 14];
-    let sweep = PolicySweep {
-        presets: Vec::new(),
-        replays: vec![ReplaySource {
-            label: "replay/r2".into(),
-            workload: Arc::clone(&workload),
-        }],
-        seeds: seeds.clone(),
-        spaces: vec![fixed_minute.clone()],
-        duration_days: 1,
-        threads: 4,
-        ..PolicySweep::default()
-    };
-    let report = sweep.run();
-    assert_eq!(report.cells.len(), 2);
-
-    // The baseline scenario builds the same policy set as the fixed
-    // one-minute keep-alive point (the platform default keep-alive is 60 s,
-    // no pre-warming, no admission control), so both vocabularies must give
-    // the sweep's bytes.
-    let session = ExperimentSession::new()
-        .policy(PolicyConfig::scenario(Scenario::Baseline))
-        .policy(PolicyConfig::sweep(fixed_minute.expand().remove(0)))
-        .source(ReplayTraceSource::new("replay/r2", workload))
-        .with_seeds(seeds.clone())
-        .run();
-    for (sweep_cell, &seed) in report.cells.iter().zip(&seeds) {
-        assert_eq!(sweep_cell.seed, seed);
-        for policy_index in 0..2 {
-            let cell = session.cell(policy_index, 0, seed).expect("cell exists");
-            assert_same_report(&sweep_cell.report, &cell.report);
-        }
-    }
-    // Different seeds genuinely change the simulation stream.
-    assert_ne!(report.cells[0].report, report.cells[1].report);
-}
-
-fn assert_same_report(report: &SimReport, reference: &SimReport) {
-    assert_eq!(report, reference);
-    // Byte-identical, not merely PartialEq: the debug rendering (which
-    // includes every float) must match exactly.
-    assert_eq!(format!("{report:?}"), format!("{reference:?}"));
 }
