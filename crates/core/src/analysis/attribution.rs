@@ -11,7 +11,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use fntrace::{Dataset, RegionId, RegionTrace, Runtime, TriggerGroup};
+use fntrace::{
+    ColdStartRecord, Dataset, RegionId, RegionTrace, Runtime, TriggerGroup, TriggerType,
+};
 
 use super::CdfSummary;
 
@@ -91,35 +93,32 @@ impl AttributionAnalysis {
             .collect();
         per_function.sort_by_key(|p| p.function);
 
-        // Figures 15 and 16.
-        let mut by_runtime_groups: HashMap<String, Vec<&fntrace::ColdStartRecord>> = HashMap::new();
-        let mut by_trigger_groups: HashMap<String, Vec<&fntrace::ColdStartRecord>> = HashMap::new();
-        for record in trace.cold_starts.records() {
-            let runtime: Runtime = trace.functions.runtime_of(record.function);
-            let trigger = trace.functions.trigger_of(record.function).group();
+        // Figures 15 and 16: one group per runtime and per trigger group,
+        // plus the `"all"` group both lists share, built once.
+        let records = trace.cold_starts.records();
+        let mut by_runtime_groups: HashMap<&'static str, Vec<&ColdStartRecord>> = HashMap::new();
+        let mut by_trigger_groups: HashMap<&'static str, Vec<&ColdStartRecord>> = HashMap::new();
+        for record in records {
+            let (runtime, trigger) = match trace.functions.get(record.function) {
+                Some(meta) => (meta.runtime, meta.primary_trigger()),
+                None => (Runtime::Unknown, TriggerType::Unknown),
+            };
             by_runtime_groups
-                .entry(runtime.label().to_string())
+                .entry(runtime.label())
                 .or_default()
                 .push(record);
             by_trigger_groups
-                .entry(trigger.label().to_string())
-                .or_default()
-                .push(record);
-            by_runtime_groups
-                .entry("all".to_string())
-                .or_default()
-                .push(record);
-            by_trigger_groups
-                .entry("all".to_string())
+                .entry(trigger.group().label())
                 .or_default()
                 .push(record);
         }
+        let all = (!records.is_empty()).then(|| group_distribution("all", records.iter()));
 
         AttributionAnalysis {
             region: trace.region.index(),
             per_function,
-            by_runtime: group_distributions(by_runtime_groups),
-            by_trigger: group_distributions(by_trigger_groups),
+            by_runtime: group_distributions(by_runtime_groups, all.as_ref()),
+            by_trigger: group_distributions(by_trigger_groups, all.as_ref()),
         }
     }
 
@@ -143,34 +142,39 @@ impl AttributionAnalysis {
     }
 }
 
+/// One distribution entry per group plus `all`, sorted by label.
 fn group_distributions(
-    groups: HashMap<String, Vec<&fntrace::ColdStartRecord>>,
+    groups: HashMap<&'static str, Vec<&ColdStartRecord>>,
+    all: Option<&GroupComponentDistributions>,
 ) -> Vec<GroupComponentDistributions> {
     let mut out: Vec<GroupComponentDistributions> = groups
         .into_iter()
-        .map(|(label, records)| {
-            let totals: Vec<f64> = records.iter().map(|r| r.cold_start_secs()).collect();
-            let alloc: Vec<f64> = records.iter().map(|r| r.pod_alloc_secs()).collect();
-            let code: Vec<f64> = records.iter().map(|r| r.deploy_code_secs()).collect();
-            let dep: Vec<f64> = records
-                .iter()
-                .filter(|r| r.deploy_dep_us > 0)
-                .map(|r| r.deploy_dep_secs())
-                .collect();
-            let sched: Vec<f64> = records.iter().map(|r| r.scheduling_secs()).collect();
-            GroupComponentDistributions {
-                label,
-                cold_starts: records.len() as u64,
-                total: CdfSummary::from_values(&totals),
-                pod_alloc: CdfSummary::from_values(&alloc),
-                deploy_code: CdfSummary::from_values(&code),
-                deploy_dep: CdfSummary::from_values(&dep),
-                scheduling: CdfSummary::from_values(&sched),
-            }
-        })
+        .map(|(label, records)| group_distribution(label, records.iter().copied()))
+        .chain(all.cloned())
         .collect();
     out.sort_by(|a, b| a.label.cmp(&b.label));
     out
+}
+
+fn group_distribution<'a>(
+    label: &str,
+    records: impl ExactSizeIterator<Item = &'a ColdStartRecord> + Clone,
+) -> GroupComponentDistributions {
+    let column = |f: fn(&ColdStartRecord) -> f64| -> Vec<f64> { records.clone().map(f).collect() };
+    let dep: Vec<f64> = records
+        .clone()
+        .filter(|r| r.deploy_dep_us > 0)
+        .map(|r| r.deploy_dep_secs())
+        .collect();
+    GroupComponentDistributions {
+        label: label.to_string(),
+        cold_starts: records.len() as u64,
+        total: CdfSummary::from_values(&column(ColdStartRecord::cold_start_secs)),
+        pod_alloc: CdfSummary::from_values(&column(ColdStartRecord::pod_alloc_secs)),
+        deploy_code: CdfSummary::from_values(&column(ColdStartRecord::deploy_code_secs)),
+        deploy_dep: CdfSummary::from_values(&dep),
+        scheduling: CdfSummary::from_values(&column(ColdStartRecord::scheduling_secs)),
+    }
 }
 
 #[cfg(test)]

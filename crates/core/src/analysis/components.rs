@@ -116,12 +116,13 @@ pub struct ComponentAnalysis {
 }
 
 impl ComponentAnalysis {
-    /// Runs the analysis on every region of the dataset.
+    /// Runs the analysis on every region of the dataset that has cold
+    /// starts, one region per worker.
     pub fn compute(dataset: &Dataset, calibration: &Calibration) -> Self {
         let regions = dataset
-            .regions()
-            .filter(|t| !t.cold_starts.is_empty())
-            .map(|t| region_components(t, calibration))
+            .map_regions(|t| (!t.cold_starts.is_empty()).then(|| region_components(t, calibration)))
+            .into_iter()
+            .flatten()
             .collect();
         Self { regions }
     }

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use faas_stats::dist::{ContinuousDistribution, LogNormal, Weibull};
 use faas_stats::ks::ks_statistic;
-use fntrace::{Dataset, RegionId};
+use fntrace::{par, Dataset, RegionId};
 
 use super::CdfSummary;
 
@@ -53,12 +53,11 @@ pub struct DistributionAnalysis {
 }
 
 impl DistributionAnalysis {
-    /// Computes the analysis over the whole dataset.
+    /// Computes the analysis over the whole dataset: the per-region
+    /// summaries one region per worker, then the two all-region fits side by
+    /// side. The pooled samples concatenate the regions in region order.
     pub fn compute(dataset: &Dataset) -> Self {
-        let mut per_region = Vec::new();
-        let mut all_durations: Vec<f64> = Vec::new();
-        let mut all_iat: Vec<f64> = Vec::new();
-        for trace in dataset.regions() {
+        let regions = dataset.map_regions(|trace| {
             let durations = trace.cold_starts.cold_start_secs();
             let iat: Vec<f64> = trace
                 .cold_starts
@@ -66,20 +65,29 @@ impl DistributionAnalysis {
                 .into_iter()
                 .filter(|x| *x > 0.0)
                 .collect();
-            per_region.push(RegionDistribution {
+            let summary = RegionDistribution {
                 region: trace.region.index(),
                 cold_start_secs: CdfSummary::from_values(&durations),
                 inter_arrival_secs: CdfSummary::from_values(&iat),
-            });
+            };
+            (summary, durations, iat)
+        });
+        let mut per_region = Vec::with_capacity(regions.len());
+        let mut all_durations: Vec<f64> = Vec::new();
+        let mut all_iat: Vec<f64> = Vec::new();
+        for (summary, durations, iat) in regions {
+            per_region.push(summary);
             all_durations.extend(durations);
             all_iat.extend(iat);
         }
-        let overall_fit = fit_lognormal(&all_durations);
-        let inter_arrival_fit = fit_weibull(&all_iat);
+        let fits = par::map(2, 0, |i| match i {
+            0 => fit_lognormal(&all_durations),
+            _ => fit_weibull(&all_iat),
+        });
         Self {
             per_region,
-            overall_fit,
-            inter_arrival_fit,
+            overall_fit: fits[0],
+            inter_arrival_fit: fits[1],
         }
     }
 

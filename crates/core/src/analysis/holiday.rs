@@ -51,12 +51,10 @@ pub struct HolidayAnalysis {
 }
 
 impl HolidayAnalysis {
-    /// Computes the per-day normalized pod and CPU series for every region.
+    /// Computes the per-day normalized pod and CPU series for every region,
+    /// one region per worker.
     pub fn compute(dataset: &Dataset, calibration: &Calibration) -> Self {
-        let regions = dataset
-            .regions()
-            .map(|trace| region_effect(trace, calibration))
-            .collect();
+        let regions = dataset.map_regions(|trace| region_effect(trace, calibration));
         Self {
             regions,
             calibration: *calibration,

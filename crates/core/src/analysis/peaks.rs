@@ -49,10 +49,11 @@ pub struct PeakAnalysis {
 }
 
 impl PeakAnalysis {
-    /// Runs the analysis: Figure 5 on every region, Figure 6 on
-    /// `region_of_interest` (falling back to the first region present).
+    /// Runs the analysis: Figure 5 on every region (one region per worker),
+    /// Figure 6 on `region_of_interest` (falling back to the first region
+    /// present).
     pub fn compute(dataset: &Dataset, region_of_interest: fntrace::RegionId) -> Self {
-        let region_peaks = dataset.regions().map(region_peaks).collect();
+        let region_peaks = dataset.map_regions(region_peaks);
         let function_peakiness = dataset
             .region(region_of_interest)
             .or_else(|| dataset.regions().next())

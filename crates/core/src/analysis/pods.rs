@@ -91,22 +91,21 @@ impl PodLifetimes {
             );
         }
         for r in trace.requests.records() {
-            let mut end = r.timestamp_ms + r.execution_time_us.div_ceil(1000);
-            // The request that spawned the pod only starts executing once the
-            // cold start completes, so its end time includes that delay.
-            if let Some(life) = lives.get(&r.pod) {
-                if r.timestamp_ms == life.created_ms {
-                    end += life.cold_start_us.div_ceil(1000);
-                }
-            }
             let entry = lives.entry(r.pod).or_insert(PodLife {
                 pod: r.pod,
                 function: r.function,
                 created_ms: r.timestamp_ms,
-                last_end_ms: end,
+                last_end_ms: 0,
                 cold_start_us: 0,
                 served: 0,
             });
+            let mut end = r.timestamp_ms + r.execution_time_us.div_ceil(1000);
+            // The request that spawned the pod only starts executing once the
+            // cold start completes, so its end time includes that delay (zero
+            // for a pod without a cold-start record).
+            if r.timestamp_ms == entry.created_ms {
+                end += entry.cold_start_us.div_ceil(1000);
+            }
             entry.created_ms = entry.created_ms.min(r.timestamp_ms);
             entry.last_end_ms = entry.last_end_ms.max(end);
             entry.served += 1;

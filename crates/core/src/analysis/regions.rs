@@ -59,23 +59,23 @@ pub struct RegionStatistics {
 }
 
 impl RegionStatistics {
-    /// Computes the statistics for every region of the dataset.
+    /// Computes the statistics for every region of the dataset, one region
+    /// per worker.
     pub fn compute(dataset: &Dataset) -> Self {
-        let sizes = dataset
-            .regions()
-            .map(|trace| {
-                let summary_region = trace.region.index();
-                RegionSizeRow {
-                    region: summary_region,
+        let (sizes, load_profiles) = dataset
+            .map_regions(|trace| {
+                let size = RegionSizeRow {
+                    region: trace.region.index(),
                     functions: trace.distinct_function_count() as u64,
                     requests: trace.requests.len() as u64,
                     pods: trace.distinct_pod_count() as u64,
                     cold_starts: trace.cold_starts.len() as u64,
                     users: trace.distinct_user_count() as u64,
-                }
+                };
+                (size, region_load_profile(trace))
             })
-            .collect();
-        let load_profiles = dataset.regions().map(region_load_profile).collect();
+            .into_iter()
+            .unzip();
         Self {
             sizes,
             load_profiles,

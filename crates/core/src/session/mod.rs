@@ -74,16 +74,14 @@ pub mod seeds;
 pub mod sink;
 pub mod source;
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use faas_platform::{NodeScenario, PlatformConfig, PolicyFactory, SimReport, SimulationSpec};
 use faas_workload::WorkloadSpec;
-use fntrace::RegionId;
+use fntrace::{par, RegionId};
 
 use crate::policies::{Scenario, ScenarioPolicies};
 use crate::sweep::SweepConfig;
@@ -683,7 +681,7 @@ impl ExperimentSession {
         // Streamed mode materialises nothing up front — each cell lowers its
         // source to a lazy stream on the worker that runs it.
         let workloads: Vec<Arc<WorkloadSpec>> = if mode == Execution::Materialized {
-            parallel_map(columns, self.threads, |i| {
+            par::map(columns, self.threads, |i| {
                 let (si, ki) = (i / seed_count, i % seed_count);
                 self.sources[si].workload(seeds::sim_seed(self.seeds[ki]))
             })
@@ -731,7 +729,7 @@ impl ExperimentSession {
                 sink.on_cell(&cell);
             }
         };
-        let outcomes = parallel_map_streamed(
+        let outcomes = par::map_streamed(
             cell_count,
             self.threads,
             |i| {
@@ -853,97 +851,6 @@ impl ExperimentSession {
     }
 }
 
-/// Maps `f` over `0..n` on up to `threads` scoped workers (0 means one per
-/// available core), merging results in index order so the output is
-/// independent of scheduling.
-fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_streamed(n, threads, f, &mut |_, _| {})
-}
-
-/// [`parallel_map`] that additionally streams each result, in index order,
-/// to `on_ready` as soon as the contiguous prefix up to it has completed.
-///
-/// Workers buffer out-of-order completions; whichever worker closes a gap
-/// drains the ready prefix while holding the merge lock, so `on_ready`
-/// observes exactly the sequence `(0, &r0), (1, &r1), …` regardless of
-/// thread scheduling — this is what lets session sinks stream cells
-/// deterministically while the fan-out is still running.
-fn parallel_map_streamed<T, F>(
-    n: usize,
-    threads: usize,
-    f: F,
-    on_ready: &mut (dyn FnMut(usize, &T) + Send),
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    };
-    let workers = threads.min(n);
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let value = f(i);
-            on_ready(i, &value);
-            out.push(value);
-        }
-        return out;
-    }
-
-    struct Merge<'a, T> {
-        /// Completed indices waiting for the prefix before them.
-        pending: BTreeMap<usize, T>,
-        /// Next index to release to `on_ready`.
-        next: usize,
-        /// Released results, in index order.
-        done: Vec<T>,
-        on_ready: &'a mut (dyn FnMut(usize, &T) + Send),
-    }
-
-    let next_cell = AtomicUsize::new(0);
-    let merge = Mutex::new(Merge {
-        pending: BTreeMap::new(),
-        next: 0,
-        done: Vec::with_capacity(n),
-        on_ready,
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next_cell.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                let mut guard = merge.lock().expect("no poisoned workers");
-                let state = &mut *guard;
-                state.pending.insert(i, value);
-                while let Some(value) = state.pending.remove(&state.next) {
-                    (state.on_ready)(state.next, &value);
-                    state.done.push(value);
-                    state.next += 1;
-                }
-            });
-        }
-    });
-    let state = merge.into_inner().expect("no poisoned workers");
-    debug_assert!(state.pending.is_empty() && state.done.len() == n);
-    state.done
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,10 +933,10 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_index_order() {
-        let out = parallel_map(100, 8, |i| i * 2);
+        let out = par::map(100, 8, |i| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(3, 1, |i| i), vec![0, 1, 2]);
+        assert!(par::map(0, 4, |i| i).is_empty());
+        assert_eq!(par::map(3, 1, |i| i), vec![0, 1, 2]);
     }
 
     #[test]

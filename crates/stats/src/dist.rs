@@ -194,10 +194,12 @@ impl Weibull {
             });
         }
         let n = data.len() as f64;
-        let mean_ln = data.iter().map(|x| x.ln()).sum::<f64>() / n;
+        // Every sum below runs over ln x; take the logs once.
+        let logs: Vec<f64> = data.iter().map(|x| x.ln()).collect();
+        let mean_ln = logs.iter().sum::<f64>() / n;
         // Method-of-moments style start from the coefficient of variation of
         // ln x keeps the iteration in the basin for both k < 1 and k > 1.
-        let var_ln = data.iter().map(|x| (x.ln() - mean_ln).powi(2)).sum::<f64>() / n;
+        let var_ln = logs.iter().map(|lx| (lx - mean_ln).powi(2)).sum::<f64>() / n;
         let mut k = if var_ln > 0.0 {
             (1.2 / var_ln.sqrt()).clamp(0.02, 50.0)
         } else {
@@ -212,8 +214,7 @@ impl Weibull {
             // f(k) = S1/S0 - 1/k - mean_ln, with S0 = sum x^k,
             // S1 = sum x^k ln x, S2 = sum x^k (ln x)^2.
             let (mut s0, mut s1, mut s2) = (0.0f64, 0.0f64, 0.0f64);
-            for &x in data {
-                let lx = x.ln();
+            for &lx in &logs {
                 let w = (k * lx).exp();
                 s0 += w;
                 s1 += w * lx;
@@ -242,7 +243,7 @@ impl Weibull {
                 iterations: MAX_ITERS,
             });
         }
-        let mean_pow = data.iter().map(|x| (k * x.ln()).exp()).sum::<f64>() / n;
+        let mean_pow = logs.iter().map(|lx| (k * lx).exp()).sum::<f64>() / n;
         let scale = mean_pow.powf(1.0 / k);
         Self::new(k, scale)
     }

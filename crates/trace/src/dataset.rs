@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::csv;
 use crate::ids::RegionId;
+use crate::par;
 use crate::record::{ColdStartRecord, FunctionMeta, RequestRecord};
 use crate::stream::TraceReader;
 use crate::table::{ColdStartTable, FunctionTable, RequestTable};
@@ -215,23 +216,37 @@ impl Dataset {
         }
     }
 
+    /// Applies `f` to every region and returns the results in ascending
+    /// region order.
+    ///
+    /// The regions run in parallel, through [`par::map`], on up to one worker
+    /// per available core and never more workers than regions; the calling
+    /// thread is one of them. Because each result lands at its region's
+    /// position, the output is the same as a sequential loop over
+    /// [`regions`](Self::regions) whenever `f` depends only on its region.
+    pub fn map_regions<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&RegionTrace) -> T + Sync,
+    {
+        let traces: Vec<&RegionTrace> = self.regions.values().collect();
+        par::map(traces.len(), 0, |i| f(traces[i]))
+    }
+
     /// Per-region and total summary counts (Figure 1 / Table 1 overview).
     pub fn summary(&self) -> DatasetSummary {
-        let mut per_region = Vec::new();
-        for trace in self.regions.values() {
-            per_region.push(RegionSummary {
-                region: trace.region,
-                requests: trace.requests.len() as u64,
-                cold_starts: trace.cold_starts.len() as u64,
-                functions: trace.distinct_function_count() as u64,
-                pods: trace.distinct_pod_count() as u64,
-                users: trace.distinct_user_count() as u64,
-                duration_days: trace
-                    .time_span_ms()
-                    .map(|(lo, hi)| (hi - lo) as f64 / crate::timebin::MILLIS_PER_DAY as f64)
-                    .unwrap_or(0.0),
-            });
-        }
+        let per_region = self.map_regions(|trace| RegionSummary {
+            region: trace.region,
+            requests: trace.requests.len() as u64,
+            cold_starts: trace.cold_starts.len() as u64,
+            functions: trace.distinct_function_count() as u64,
+            pods: trace.distinct_pod_count() as u64,
+            users: trace.distinct_user_count() as u64,
+            duration_days: trace
+                .time_span_ms()
+                .map(|(lo, hi)| (hi - lo) as f64 / crate::timebin::MILLIS_PER_DAY as f64)
+                .unwrap_or(0.0),
+        });
         DatasetSummary { per_region }
     }
 
@@ -392,6 +407,22 @@ mod tests {
         assert!(rendered.contains("R1"));
         assert!(rendered.contains("R2"));
         assert!(rendered.contains("total"));
+    }
+
+    #[test]
+    fn map_regions_returns_results_in_region_order() {
+        let mut ds = Dataset::new();
+        for region in [5, 2, 4, 1, 3] {
+            ds.insert_region(small_region(region, u64::from(region) * 3));
+        }
+        let mapped = ds.map_regions(|t| (t.region, t.requests.len()));
+        let sequential: Vec<_> = ds.regions().map(|t| (t.region, t.requests.len())).collect();
+        assert_eq!(mapped, sequential);
+        assert_eq!(
+            mapped.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
+            ds.region_ids()
+        );
+        assert!(Dataset::new().map_regions(|t| t.region).is_empty());
     }
 
     #[test]

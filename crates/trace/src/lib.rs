@@ -41,6 +41,7 @@ pub mod azure;
 pub mod csv;
 pub mod dataset;
 pub mod ids;
+pub mod par;
 pub mod record;
 pub mod stream;
 pub mod synth;

@@ -156,12 +156,23 @@ impl SyntheticTraceBuilder {
     }
 
     /// Generates the dataset.
+    ///
+    /// Each region draws from its own fork of the root stream. The forks are
+    /// taken in region order before any region is built, and the regions are
+    /// then built in parallel through [`fntrace::par::map`], so the dataset
+    /// does not depend on how many cores built it.
     pub fn build(&self) -> Dataset {
-        let mut dataset = Dataset::new();
         let mut root = Xoshiro256pp::seed_from_u64(self.seed);
-        for profile in &self.regions {
-            let mut rng = root.fork(u64::from(profile.region.index()));
-            let trace = self.build_region(profile, &mut rng);
+        let forks: Vec<Xoshiro256pp> = self
+            .regions
+            .iter()
+            .map(|profile| root.fork(u64::from(profile.region.index())))
+            .collect();
+        let traces = fntrace::par::map(self.regions.len(), 0, |i| {
+            self.build_region(&self.regions[i], &mut forks[i].clone())
+        });
+        let mut dataset = Dataset::new();
+        for trace in traces {
             dataset.insert_region(trace);
         }
         dataset
@@ -365,6 +376,24 @@ mod tests {
         let c = tiny_r2(2, 10);
         assert_ne!(a.total_requests(), 0);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn parallel_build_equals_the_regions_built_one_at_a_time() {
+        let builder = SyntheticTraceBuilder::new()
+            .with_scale(TraceScale::tiny())
+            .with_calibration(short_calibration(1))
+            .with_seed(8);
+        // The root forks once per region, in region order.
+        let mut root = Xoshiro256pp::seed_from_u64(8);
+        let mut sequential = Dataset::new();
+        for profile in RegionProfile::paper_regions() {
+            let mut rng = root.fork(u64::from(profile.region.index()));
+            sequential.insert_region(builder.build_region(&profile, &mut rng));
+        }
+        let built = builder.build();
+        assert_eq!(built.region_count(), 5);
+        assert_eq!(built, sequential);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Invariants every regenerated figure must satisfy, checked on generated
 //! datasets across several seeds (property-style, but with explicit seeds so
-//! failures are reproducible).
+//! failures are reproducible), plus a byte-exact oracle that pins every field
+//! of one five-region characterization.
 
 use coldstarts::pipeline::CharacterizationPipeline;
 use coldstarts::CharacterizationReport;
@@ -147,4 +148,88 @@ fn characterization_is_deterministic_per_seed() {
     let a = report_for_seed(7);
     let b = report_for_seed(7);
     assert_eq!(a, b);
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The five paper regions over four tiny-scale days whose holiday covers
+/// days 1 and 2, so every analysis, the holiday split included, sees data.
+fn oracle_report() -> CharacterizationReport {
+    let calibration = Calibration {
+        duration_days: 4,
+        holiday_start_day: 1,
+        holiday_end_day: 3,
+        ..Calibration::default()
+    };
+    let dataset = SyntheticTraceBuilder::new()
+        .with_scale(TraceScale::tiny())
+        .with_calibration(calibration)
+        .with_seed(11)
+        .build();
+    assert_eq!(dataset.region_count(), 5);
+    CharacterizationPipeline::new()
+        .with_calibration(calibration)
+        .with_region_of_interest(RegionId::new(2))
+        .analyze(&dataset)
+}
+
+/// Pins one digest per report field, taken over its `{:?}` rendering: a
+/// region's rows swapped with another's, a group moved within its list or
+/// any value changed by one bit fails here and names the field.
+#[test]
+fn characterization_bytes_match_the_pinned_digests() {
+    let r = oracle_report();
+    let fields: [(&str, String, u64); 10] = [
+        (
+            "dataset_summary",
+            format!("{:?}", r.dataset_summary),
+            0xdb49_c708_d7bf_81a2,
+        ),
+        ("regions", format!("{:?}", r.regions), 0xd8e5_dfc4_465c_1c0c),
+        ("peaks", format!("{:?}", r.peaks), 0x53e4_6d17_3ed6_4cff),
+        ("holiday", format!("{:?}", r.holiday), 0xc36b_394c_dba9_664d),
+        (
+            "composition",
+            format!("{:?}", r.composition),
+            0xae27_9f8e_22da_3165,
+        ),
+        (
+            "distributions",
+            format!("{:?}", r.distributions),
+            0x6774_15f5_1b46_2f25,
+        ),
+        (
+            "components",
+            format!("{:?}", r.components),
+            0x1245_d82f_385a_7090,
+        ),
+        (
+            "attribution",
+            format!("{:?}", r.attribution),
+            0x6be5_5c82_0cfe_080a,
+        ),
+        ("utility", format!("{:?}", r.utility), 0xe43c_a09c_c50c_4d0f),
+        (
+            "region_of_interest",
+            format!("{:?}", r.region_of_interest),
+            0xaf63_af4c_8601_a015,
+        ),
+    ];
+    let drifted: Vec<String> = fields
+        .iter()
+        .filter_map(|(name, rendered, pinned)| {
+            let digest = fnv1a(rendered.as_bytes());
+            (digest != *pinned).then(|| format!("{name}: {digest:#018x} (pinned {pinned:#018x})"))
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "characterization output drifted in: {}",
+        drifted.join(", ")
+    );
 }
