@@ -6,10 +6,11 @@
 //!
 //! * [`QuantileKeepAlive`] — histogram-based adaptive keep-alive. Each
 //!   function's idle-time distribution is already tracked by the engine in
-//!   [`FunctionHistory`]'s inter-arrival ring with its lazily sorted
-//!   percentile cache; this policy reads a configurable quantile of it,
-//!   applies a safety margin, and holds the resulting keep-alive inside a
-//!   hysteresis band so the target does not thrash on every arrival.
+//!   [`FunctionHistory`]'s inter-arrival ring with its sorted percentile
+//!   cache, brought up to date on query; this policy reads a configurable
+//!   quantile of it, applies a safety margin, and holds the resulting
+//!   keep-alive inside a hysteresis band so the target does not thrash on
+//!   every arrival.
 //! * [`ForecastPrewarm`] — forecast-driven pre-warming. Every pre-warm tick
 //!   delivers each function's bucketed arrival count
 //!   ([`FunctionView::recent_arrivals`](faas_platform::FunctionView::recent_arrivals));
@@ -43,6 +44,8 @@ use faas_platform::keepalive::FunctionHistory;
 use faas_platform::{KeepAlivePolicy, PlatformView, PrewarmPolicy, PrewarmRequest};
 use faas_stats::timeseries::{ForecastConfig, Forecaster};
 use fntrace::{FunctionId, TriggerType};
+
+use super::prewarm::next_firing_ms;
 
 /// Traffic class of one function, learned from its observed arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,11 +409,8 @@ impl PrewarmPolicy for HybridPrewarm {
                 // next firing (conservatively before the first one).
                 let due_soon = match f.last_arrival_ms {
                     Some(last) => {
-                        let mut next = last + timer_period_ms;
-                        while next <= view.now_ms {
-                            next += timer_period_ms;
-                        }
-                        next <= view.now_ms + horizon_ms
+                        next_firing_ms(last, timer_period_ms, view.now_ms)
+                            <= view.now_ms + horizon_ms
                     }
                     None => true,
                 };

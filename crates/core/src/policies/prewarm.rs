@@ -27,12 +27,14 @@ impl TimerPrewarm {
     /// Creates the policy from the workload's function specifications.
     ///
     /// `horizon_ms` should match (or slightly exceed) the simulator's
-    /// pre-warm tick interval.
+    /// pre-warm tick interval. Timers whose period rounds down to 0 ms have
+    /// no cadence to project and are not tracked.
     pub fn from_specs(specs: &[FunctionSpec], horizon_ms: u64) -> Self {
         let periods_ms = specs
             .iter()
-            .filter(|s| s.primary_trigger() == TriggerType::Timer && s.timer_period_secs > 0.0)
+            .filter(|s| s.primary_trigger() == TriggerType::Timer)
             .map(|s| (s.function, (s.timer_period_secs * 1000.0) as u64))
+            .filter(|&(_, period)| period > 0)
             .collect();
         Self {
             periods_ms,
@@ -61,13 +63,7 @@ impl PrewarmPolicy for TimerPrewarm {
             // firing is also covered.
             let due_soon = match f.last_arrival_ms {
                 Some(last) => {
-                    // Next firing, projected forward if several periods have
-                    // already elapsed since the last observed arrival.
-                    let mut next = last + period;
-                    while next <= view.now_ms {
-                        next += period;
-                    }
-                    next <= view.now_ms + self.horizon_ms
+                    next_firing_ms(last, period, view.now_ms) <= view.now_ms + self.horizon_ms
                 }
                 None => true,
             };
@@ -84,6 +80,15 @@ impl PrewarmPolicy for TimerPrewarm {
     fn name(&self) -> &'static str {
         "timer-prewarm"
     }
+}
+
+/// The first firing after `now_ms` of a timer that last fired at `last_ms`
+/// with a period of `period_ms` (at least 1 ms): `last_ms + k * period_ms`
+/// for the smallest `k >= 1` that lands past `now_ms`, projected forward in
+/// O(1) however many periods have elapsed since the last observed arrival.
+pub(crate) fn next_firing_ms(last_ms: u64, period_ms: u64, now_ms: u64) -> u64 {
+    debug_assert!(period_ms > 0, "a timer period of at least 1 ms");
+    last_ms + period_ms * (now_ms.saturating_sub(last_ms) / period_ms + 1)
 }
 
 /// Pre-warms functions whose recent demand indicates they will be invoked
@@ -259,6 +264,36 @@ mod tests {
         // A function that already has a warm pod is skipped.
         let view = platform(vec![fview(1, 1, 0, Some(0))], 250_000);
         assert!(policy.prewarm(&view).is_empty());
+    }
+
+    #[test]
+    fn timer_prewarm_skips_periods_that_round_to_zero_ms() {
+        // 0.4 ms rounds to a 0-ms period, which has no cadence to project:
+        // tracking it would spin forever looking for the next firing.
+        let specs = vec![spec(1, TriggerType::Timer, 0.0004, None)];
+        let mut policy = TimerPrewarm::from_specs(&specs, 60_000);
+        assert_eq!(policy.tracked_functions(), 0);
+        let view = platform(vec![fview(1, 0, 0, Some(0))], 250_000);
+        assert!(policy.prewarm(&view).is_empty());
+    }
+
+    #[test]
+    fn next_firing_matches_the_stepping_loop() {
+        for period in 1..=7u64 {
+            for last in 0..20u64 {
+                for now in 0..40u64 {
+                    let mut next = last + period;
+                    while next <= now {
+                        next += period;
+                    }
+                    assert_eq!(
+                        next_firing_ms(last, period, now),
+                        next,
+                        "last {last}, period {period}, now {now}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,12 @@ impl ClusterState {
         }
     }
 
+    /// Overwrites this state with `source`, reusing the counter allocation.
+    pub(crate) fn copy_from(&mut self, source: &ClusterState) {
+        self.in_flight.clone_from(&source.in_flight);
+        self.hot_spot_threshold = source.hot_spot_threshold;
+    }
+
     /// Number of clusters.
     pub fn clusters(&self) -> u8 {
         self.in_flight.len() as u8

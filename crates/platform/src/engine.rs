@@ -31,7 +31,7 @@ use crate::arena::PodIdx;
 use crate::config::PlatformConfig;
 use crate::event::Event;
 use crate::keepalive::KeepAlivePolicy;
-use crate::policy::{AdmissionPolicy, PrewarmPolicy};
+use crate::policy::{AdmissionPolicy, PlatformView, PrewarmPolicy};
 use crate::report::SimReport;
 use crate::shard::{
     merge_outcomes, EpochLedger, EpochSnapshot, EpochSync, SequentialSync, ShardOutcome,
@@ -46,6 +46,8 @@ pub struct SimulationEngine {
     prewarm: Box<dyn PrewarmPolicy>,
     admission: Box<dyn AdmissionPolicy>,
     seed: u64,
+    /// The pre-warm policy's platform view, refilled in place on every tick.
+    view: PlatformView,
 }
 
 impl SimulationEngine {
@@ -64,6 +66,12 @@ impl SimulationEngine {
             prewarm,
             admission,
             seed,
+            view: PlatformView {
+                now_ms: 0,
+                functions: Vec::new(),
+                total_warm_pods: 0,
+                pooled_idle_pods: 0,
+            },
         }
     }
 
@@ -213,7 +221,7 @@ impl SimulationEngine {
     }
 
     /// Crosses one epoch boundary: drains internal events strictly before
-    /// it, posts the shard's delta, and installs the reconciled snapshot.
+    /// it, posts the shard's delta, and refreshes the snapshot in place.
     fn cross_boundary(
         &mut self,
         state: &mut SimState<'_>,
@@ -226,9 +234,7 @@ impl SimulationEngine {
                 self.handle_internal(state, t, e, duration);
             }
         }
-        let delta = state.take_delta();
-        let snapshot = sync.reconcile(boundary, delta);
-        state.begin_epoch(snapshot);
+        state.settle_epoch(boundary, sync);
     }
 
     fn handle_internal(&mut self, state: &mut SimState<'_>, t: u64, event: Event, duration: u64) {
@@ -240,17 +246,17 @@ impl SimulationEngine {
             Event::DelayedArrival { function } => {
                 // Admission and history were handled when the request first
                 // arrived; the delayed re-entry dispatches directly.
-                state.dispatch(function, t, self.keep_alive.as_ref());
+                state.dispatch(function, t);
             }
             Event::PrewarmTick => {
                 if t <= duration {
                     // A no-op policy never reads the view and never pre-warms:
-                    // skip building the (expensive) whole-platform snapshot.
-                    // The recent-arrival reset and the reschedule still run —
+                    // skip refilling the whole-platform view. The
+                    // recent-arrival reset and the reschedule still run —
                     // admission policies observe those counters.
                     if !self.prewarm.is_noop() {
-                        let view = state.platform_view(t);
-                        let requests = self.prewarm.prewarm(&view);
+                        state.fill_platform_view(t, &mut self.view);
+                        let requests = self.prewarm.prewarm(&self.view);
                         for req in requests {
                             if let Some(idx) = state.resolve(req.function) {
                                 for _ in 0..req.count {
@@ -283,7 +289,7 @@ impl SimulationEngine {
         // A no-op admission policy never delays anything: skip assembling
         // the per-function view (a pure read) and the synchronicity check.
         if !self.admission.is_noop() {
-            let view = state.function_view(idx, t);
+            let view = state.function_view(idx);
             if view.trigger.synchronicity() == fntrace::Synchronicity::Asynchronous {
                 let delay = self.admission.delay_ms(&view, t);
                 if delay > 0 {
@@ -298,7 +304,7 @@ impl SimulationEngine {
                 }
             }
         }
-        state.dispatch(idx, t, self.keep_alive.as_ref());
+        state.dispatch(idx, t);
     }
 }
 

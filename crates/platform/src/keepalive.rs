@@ -19,11 +19,14 @@ use fntrace::{FunctionId, TriggerType};
 ///
 /// The recent inter-arrival window is a circular buffer: once full, the
 /// oldest observation is overwritten in place, so recording an arrival is
-/// O(1) with no per-arrival shifting. Percentile queries sort a cached copy
-/// of the window lazily — the cache is invalidated by each arrival and
-/// rebuilt only when a policy actually asks (the adaptive keep-alive does;
-/// the fixed and timer-aware policies never do), which keeps the
-/// per-arrival hot path free of any sorted-structure maintenance.
+/// O(1) with no per-arrival shifting. Percentile queries read a sorted copy
+/// of the window that is brought up to date lazily, on the first query after
+/// a change: each arrival appends its window edit (the evicted gap, if any,
+/// and the inserted one) to a small fixed log, and the refresh replays the
+/// logged edits into the sorted copy by binary search. Only when more edits
+/// piled up than the log holds is the copy re-sorted from the ring. Policies
+/// that never ask (the fixed and timer-aware ones) leave the log saturated
+/// and pay no sorted-structure work on arrival.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionHistory {
     /// Recent inter-arrival times in milliseconds (circular once full;
@@ -31,13 +34,19 @@ pub struct FunctionHistory {
     recent_iat_ms: Vec<u64>,
     /// Index of the oldest entry in `recent_iat_ms` once the ring is full.
     head: usize,
-    /// Lazily sorted copy of the window, rebuilt on query when stale.
+    /// Sorted copy of the window as of the last refresh.
     sorted_cache: RefCell<Vec<u64>>,
-    /// Whether `sorted_cache` is out of date with the ring.
-    sorted_stale: Cell<bool>,
-    /// How many times the sorted cache has actually been rebuilt — at most
-    /// once per window mutation, regardless of how many quantile queries run
-    /// between arrivals (pinned by a regression test).
+    /// Window edits since the last refresh, oldest first, as `(evicted,
+    /// inserted)` gaps; `evicted` is meaningless while the window is still
+    /// filling (the edit then only inserts).
+    edits: [(u64, u64); EDIT_LOG_CAP],
+    /// Edits logged since the last refresh, saturating at
+    /// `EDIT_LOG_CAP + 1`, which means the log overflowed and the next
+    /// refresh re-sorts the ring.
+    pending_edits: Cell<u8>,
+    /// How many times the sorted cache has been refreshed, by edit or by
+    /// sort — at most once per window mutation, regardless of how many
+    /// quantile queries run between arrivals (pinned by a regression test).
     sorted_rebuilds: Cell<u64>,
     /// Timestamp of the most recent arrival.
     last_arrival_ms: Option<u64>,
@@ -49,18 +58,29 @@ pub struct FunctionHistory {
 
 const HISTORY_CAP: usize = 64;
 
+/// Window edits a [`FunctionHistory`] logs between refreshes; more fall back
+/// to a full sort.
+const EDIT_LOG_CAP: usize = 4;
+
 impl FunctionHistory {
     /// Records an arrival at `now_ms`.
     pub fn observe_arrival(&mut self, now_ms: u64) {
         if let Some(last) = self.last_arrival_ms {
             let iat = now_ms.saturating_sub(last);
-            if self.recent_iat_ms.len() == HISTORY_CAP {
-                self.recent_iat_ms[self.head] = iat;
+            let evicted = if self.recent_iat_ms.len() == HISTORY_CAP {
+                let evicted = std::mem::replace(&mut self.recent_iat_ms[self.head], iat);
                 self.head = (self.head + 1) % HISTORY_CAP;
+                evicted
             } else {
                 self.recent_iat_ms.push(iat);
+                0
+            };
+            let pending = usize::from(self.pending_edits.get());
+            if pending < EDIT_LOG_CAP {
+                self.edits[pending] = (evicted, iat);
             }
-            self.sorted_stale.set(true);
+            self.pending_edits
+                .set((pending + 1).min(EDIT_LOG_CAP + 1) as u8);
         }
         self.last_arrival_ms = Some(now_ms);
         self.arrivals += 1;
@@ -76,15 +96,29 @@ impl FunctionHistory {
         self.last_arrival_ms
     }
 
-    /// Refreshes the sorted cache from the ring if it is stale.
+    /// Brings the sorted cache up to date with the ring: replays the logged
+    /// edits by binary search, or re-sorts the ring if the log overflowed.
     fn refresh_sorted(&self) {
-        if self.sorted_stale.replace(false) {
-            let mut cache = self.sorted_cache.borrow_mut();
+        let pending = usize::from(self.pending_edits.replace(0));
+        if pending == 0 {
+            return;
+        }
+        let mut cache = self.sorted_cache.borrow_mut();
+        if pending > EDIT_LOG_CAP {
             cache.clear();
             cache.extend_from_slice(&self.recent_iat_ms);
             cache.sort_unstable();
-            self.sorted_rebuilds.set(self.sorted_rebuilds.get() + 1);
+        } else {
+            for &(evicted, inserted) in &self.edits[..pending] {
+                if cache.len() < HISTORY_CAP {
+                    let at = cache.partition_point(|&x| x < inserted);
+                    cache.insert(at, inserted);
+                } else {
+                    replace_sorted(&mut cache, evicted, inserted);
+                }
+            }
         }
+        self.sorted_rebuilds.set(self.sorted_rebuilds.get() + 1);
     }
 
     /// Number of inter-arrival samples currently in the window.
@@ -92,9 +126,10 @@ impl FunctionHistory {
         self.recent_iat_ms.len()
     }
 
-    /// How many times the lazy percentile cache has been rebuilt. Exposed so
-    /// tests can pin the dirty-flag contract: at most one rebuild per window
-    /// mutation, however many quantile queries run in between.
+    /// How many times the lazy percentile cache has been refreshed (by
+    /// replaying edits or by a full sort). Exposed so tests can pin the
+    /// contract: at most one refresh per window mutation, however many
+    /// quantile queries run in between.
     pub fn sorted_rebuilds(&self) -> u64 {
         self.sorted_rebuilds.get()
     }
@@ -102,7 +137,7 @@ impl FunctionHistory {
     /// An arbitrary quantile of the recent inter-arrival times (exact order
     /// statistic at `ceil(q * n) - 1`), or `None` when fewer than four
     /// observations exist. `q` is clamped into `[0, 1]`; queries share the
-    /// lazily rebuilt sorted cache with [`iat_p90_ms`](Self::iat_p90_ms).
+    /// lazily refreshed sorted cache with [`iat_p90_ms`](Self::iat_p90_ms).
     pub fn iat_quantile_ms(&self, q: f64) -> Option<u64> {
         self.refresh_sorted();
         let sorted = self.sorted_cache.borrow();
@@ -154,6 +189,22 @@ impl FunctionHistory {
             return None;
         }
         Some(sorted[sorted.len() / 2])
+    }
+}
+
+/// Replaces one occurrence of `old` in the sorted slice with `new`, keeping
+/// it sorted: the entries between the two positions shift by one.
+fn replace_sorted(sorted: &mut [u64], old: u64, new: u64) {
+    let from = sorted
+        .binary_search(&old)
+        .expect("the evicted gap is in the sorted window");
+    let to = sorted.partition_point(|&x| x < new);
+    if to > from {
+        sorted.copy_within(from + 1..to, from);
+        sorted[to - 1] = new;
+    } else {
+        sorted.copy_within(to..from, to + 1);
+        sorted[to] = new;
     }
 }
 
@@ -338,31 +389,59 @@ mod tests {
 
     #[test]
     fn lazy_percentiles_match_a_sort_oracle() {
-        // Deterministic pseudo-random arrival gaps (with duplicates) across
-        // several evictions of the bounded window, querying after every
-        // arrival so the lazy cache is exercised in its worst case.
+        // Deterministic pseudo-random arrival gaps (with many repeats) over
+        // several full turns of the bounded window. Each query follows a
+        // burst of 0 to EDIT_LOG_CAP + 2 arrivals, so refreshes both replay
+        // the edit log (bursts it can hold) and fall back to a full sort
+        // (longer bursts).
         let mut h = FunctionHistory::default();
         let mut t = 0u64;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..(HISTORY_CAP * 4) {
+        let mut next = move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            t += x % 50;
-            h.observe_arrival(t);
+            x
+        };
+        let (mut arrivals, mut by_edit, mut by_sort) = (0usize, 0, 0);
+        while arrivals < HISTORY_CAP * 5 {
+            let burst = next() % (EDIT_LOG_CAP as u64 + 3);
+            for _ in 0..burst {
+                t += next() % 50;
+                h.observe_arrival(t);
+                arrivals += 1;
+            }
+            match usize::from(h.pending_edits.get()) {
+                0 => {}
+                n if n <= EDIT_LOG_CAP => by_edit += 1,
+                _ => by_sort += 1,
+            }
             let mut oracle = h.recent_iat_ms.clone();
             oracle.sort_unstable();
             if oracle.len() >= 4 {
                 let idx = ((oracle.len() as f64) * 0.9).ceil() as usize - 1;
                 assert_eq!(h.iat_p90_ms(), Some(oracle[idx.min(oracle.len() - 1)]));
                 assert_eq!(h.iat_median_ms(), Some(oracle[oracle.len() / 2]));
+                assert_eq!(h.iat_quantile_ms(0.0), Some(oracle[0]));
+                assert_eq!(h.iat_quantile_ms(1.0), oracle.last().copied());
             } else {
                 assert_eq!(h.iat_p90_ms(), None);
                 assert_eq!(h.iat_median_ms(), None);
             }
+            // The refreshed copy is the sorted window itself, not just a
+            // copy with the same order statistics.
+            assert_eq!(
+                *h.sorted_cache.borrow(),
+                oracle,
+                "after {arrivals} arrivals"
+            );
             // Repeat queries without a new arrival hit the cached copy.
             assert_eq!(h.iat_p90_ms(), h.iat_p90_ms());
         }
+        assert!(
+            by_edit > 0 && by_sort > 0,
+            "{by_edit} by edit, {by_sort} by sort"
+        );
     }
 
     #[test]
@@ -630,7 +709,7 @@ mod expiry_edge_tests {
         // Path A: the scheduled expiry event fires at its exact due time.
         let mut a = test_state(&w, &cfg, 9);
         let f = a.resolve(FunctionId::new(1)).expect("function in workload");
-        a.dispatch(f, 0, &policy);
+        a.dispatch(f, 0);
         let (t_complete, event) = a.queue.pop().expect("completion scheduled");
         let Event::RequestComplete { pod, busy_ms } = event else {
             panic!("expected completion, got {event:?}");
@@ -649,7 +728,7 @@ mod expiry_edge_tests {
         // Path B: same run (same seed is deterministic), but the horizon cuts
         // the simulation at exactly the expiry time and finalizes the pod.
         let mut b = test_state(&w, &cfg, 9);
-        b.dispatch(f, 0, &policy);
+        b.dispatch(f, 0);
         let (tc, event) = b.queue.pop().expect("completion scheduled");
         let Event::RequestComplete {
             pod: pod_b,
@@ -683,7 +762,7 @@ mod expiry_edge_tests {
         let f = state
             .resolve(FunctionId::new(1))
             .expect("function in workload");
-        state.dispatch(f, 0, &policy);
+        state.dispatch(f, 0);
         let (t_complete, event) = state.queue.pop().expect("completion scheduled");
         let Event::RequestComplete { pod, busy_ms } = event else {
             panic!("expected completion, got {event:?}");
@@ -693,7 +772,7 @@ mod expiry_edge_tests {
 
         // A new request lands on the idle pod before the expiry fires: the
         // pod is re-warmed and the pending expiry becomes stale.
-        state.dispatch(f, t_complete + 1, &policy);
+        state.dispatch(f, t_complete + 1);
         assert_eq!(state.report.warm_starts, 1);
         assert_eq!(state.report.cold_starts, 1);
 

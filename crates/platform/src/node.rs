@@ -311,8 +311,9 @@ pub struct NodeView {
     pub pressure: u32,
 }
 
-/// Node state as of an epoch boundary: plain data, cloned per shard per
-/// epoch like the rest of [`crate::shard::EpochSnapshot`].
+/// Node state as of an epoch boundary: plain data, refreshed in place at
+/// each boundary like the rest of [`crate::shard::EpochSnapshot`]. Only the
+/// caches that changed since the previous refresh are copied and re-sorted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
     /// Per-node boundary state.
@@ -323,6 +324,9 @@ pub struct NodeSnapshot {
     pub layer_size_mb: u64,
     /// Placement policy in force.
     pub placement: PlacementPolicy,
+    /// Boundaries the source pool had settled when this snapshot was taken
+    /// or last refreshed.
+    settled: u64,
 }
 
 impl NodeSnapshot {
@@ -435,6 +439,16 @@ pub struct NodePool {
     redeploy_at_ms: Option<u64>,
     /// Nodes already cache-invalidated by the rolling deploy.
     rolled: u32,
+    /// Boundaries settled so far.
+    settled: u64,
+    /// Per node, the boundary (in `settled` numbering) at which its cache
+    /// last changed; a snapshot refresh re-sorts only caches changed after
+    /// the snapshot's own boundary.
+    cache_changed_at: Vec<u64>,
+    /// Summed pod deltas of the boundary being settled; zero in between.
+    posted_pods: Vec<i64>,
+    /// Pull records of the boundary being settled; empty in between.
+    posted_pulls: Vec<PullRecord>,
 }
 
 impl NodePool {
@@ -469,6 +483,10 @@ impl NodePool {
             placement: config.placement,
             redeploy_at_ms: config.redeploy_at_ms,
             rolled: 0,
+            settled: 0,
+            cache_changed_at: vec![0; n],
+            posted_pods: vec![0; n],
+            posted_pulls: Vec::new(),
         }
     }
 
@@ -514,7 +532,36 @@ impl NodePool {
             caches,
             layer_size_mb: self.layer_size_mb,
             placement: self.placement,
+            settled: self.settled,
         }
+    }
+
+    /// Brings `snapshot`, taken from this pool at an earlier boundary, up to
+    /// date in place: pod counts and pressure are copied, and only the
+    /// caches that changed since that boundary are copied and re-sorted.
+    pub(crate) fn refresh(&self, snapshot: &mut NodeSnapshot) {
+        debug_assert_eq!(snapshot.nodes.len(), self.nodes.len(), "same pool");
+        for ((view, &pods), &pressure) in snapshot
+            .nodes
+            .iter_mut()
+            .zip(&self.pods)
+            .zip(&self.pressure)
+        {
+            view.pods = pods;
+            view.pressure = pressure;
+        }
+        for ((sorted, cache), &changed_at) in snapshot
+            .caches
+            .iter_mut()
+            .zip(&self.caches)
+            .zip(&self.cache_changed_at)
+        {
+            if changed_at > snapshot.settled {
+                sorted.clone_from(cache);
+                sorted.sort_unstable();
+            }
+        }
+        snapshot.settled = self.settled;
     }
 
     /// Settles one boundary: sums the shards' pod deltas (clamped at zero),
@@ -522,21 +569,32 @@ impl NodePool {
     /// layer)` order, records the per-node pull counts as the next epoch's
     /// pressure, and advances the rolling deploy if one is due.
     pub fn apply<'a>(&mut self, boundary_ms: u64, deltas: impl IntoIterator<Item = &'a NodeDelta>) {
-        let mut pod_delta = vec![0i64; self.nodes.len()];
-        let mut pulls: Vec<PullRecord> = Vec::new();
         for d in deltas {
-            for (acc, &x) in pod_delta.iter_mut().zip(&d.pod_delta) {
-                *acc += x;
-            }
-            pulls.extend_from_slice(&d.pulls);
+            self.post(d);
         }
-        for (pods, &d) in self.pods.iter_mut().zip(&pod_delta) {
-            let updated = i64::from(*pods) + d;
+        self.settle(boundary_ms);
+    }
+
+    /// Adds one shard's delta to the boundary being settled.
+    pub(crate) fn post(&mut self, delta: &NodeDelta) {
+        for (acc, &x) in self.posted_pods.iter_mut().zip(&delta.pod_delta) {
+            *acc += x;
+        }
+        self.posted_pulls.extend_from_slice(&delta.pulls);
+    }
+
+    /// Settles the boundary from the deltas [`post`](Self::post)ed since the
+    /// last one (see [`apply`](Self::apply)), leaving the posting buffers
+    /// zeroed for the next boundary.
+    pub(crate) fn settle(&mut self, boundary_ms: u64) {
+        self.settled += 1;
+        for (pods, d) in self.pods.iter_mut().zip(&mut self.posted_pods) {
+            let updated = i64::from(*pods) + std::mem::take(d);
             *pods = u32::try_from(updated.max(0)).unwrap_or(u32::MAX);
         }
-        pulls.sort_unstable();
+        self.posted_pulls.sort_unstable();
         self.pressure.fill(0);
-        for pull in pulls {
+        for pull in self.posted_pulls.drain(..) {
             let node = pull.node as usize;
             if node >= self.nodes.len() {
                 continue;
@@ -549,6 +607,7 @@ impl NodePool {
             cache.insert(0, pull.layer);
             let cap = self.classes[self.nodes[node].1 as usize].cache_layers as usize;
             cache.truncate(cap);
+            self.cache_changed_at[node] = self.settled;
         }
         if let Some(at) = self.redeploy_at_ms {
             if boundary_ms >= at && (self.rolled as usize) < self.nodes.len() {
@@ -556,8 +615,9 @@ impl NodePool {
                 // node indices first — the "rolling" in rolling deploy.
                 let batch = self.nodes.len().div_ceil(4);
                 let end = (self.rolled as usize + batch).min(self.nodes.len());
-                for cache in &mut self.caches[self.rolled as usize..end] {
-                    cache.clear();
+                for node in self.rolled as usize..end {
+                    self.caches[node].clear();
+                    self.cache_changed_at[node] = self.settled;
                 }
                 self.rolled = end as u32;
             }

@@ -207,6 +207,18 @@ impl ResourcePools {
         self.entries.iter().map(|e| (e.cfg, e.idle)).collect()
     }
 
+    /// [`snapshot_idle`](Self::snapshot_idle) copied into `out`, reusing its
+    /// allocation.
+    pub(crate) fn snapshot_idle_into(&self, out: &mut Vec<(ResourceConfig, u32)>) {
+        out.clear();
+        out.extend(self.entries.iter().map(|e| (e.cfg, e.idle)));
+    }
+
+    /// Number of pool entries: the length of a snapshot or a draw vector.
+    pub(crate) fn entry_count(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Settles one epoch's pod draws against the pools at `now_ms`.
     ///
     /// `draws` holds the per-entry totals accumulated by the shard engines

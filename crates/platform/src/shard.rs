@@ -53,8 +53,9 @@ use crate::report::{ComponentTotals, FunctionStats, LatencyStats, SimReport};
 /// Shared-capacity state as of an epoch boundary.
 ///
 /// Shards read this — and only this — when they need pool availability,
-/// cluster load, or platform-wide pod counts during an epoch. Snapshots are
-/// plain data, cheap to clone per shard per epoch.
+/// cluster load, or platform-wide pod counts during an epoch. Each shard
+/// keeps one snapshot for the whole run; every boundary refreshes it in
+/// place from the ledger, reusing its vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochSnapshot {
     /// Idle pooled pods per resource configuration, in ledger entry order.
@@ -88,7 +89,8 @@ impl EpochSnapshot {
 ///
 /// All fields are commutative aggregates, so summing the deltas of all
 /// shards — in any order — before applying them to the ledger yields one
-/// well-defined boundary state.
+/// well-defined boundary state. A shard keeps one delta for the whole run
+/// and zeroes it after each boundary.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardDelta {
     /// Pods drawn from each pool entry during the epoch, aligned with
@@ -103,13 +105,49 @@ pub struct ShardDelta {
     pub node: Option<NodeDelta>,
 }
 
+impl ShardDelta {
+    /// An all-zero delta shaped like `snapshot`: one draw counter per pool
+    /// entry, one in-flight delta per cluster, and a node part iff the node
+    /// model is on. The shapes stay fixed for a run.
+    pub(crate) fn zeroed(snapshot: &EpochSnapshot) -> Self {
+        Self {
+            pool_draws: vec![0; snapshot.pool_idle.len()],
+            cluster_delta: vec![0; usize::from(snapshot.clusters.clusters())],
+            live_pods: 0,
+            node: snapshot.nodes.as_ref().map(|nodes| NodeDelta {
+                pod_delta: vec![0; nodes.len()],
+                pulls: Vec::new(),
+            }),
+        }
+    }
+
+    /// The node part. Pods only land on nodes with the node model on, and
+    /// then the delta has one.
+    pub(crate) fn node_mut(&mut self) -> &mut NodeDelta {
+        self.node.as_mut().expect("node model delta exists")
+    }
+
+    /// Zeroes the delta in place for the next epoch.
+    pub(crate) fn reset(&mut self) {
+        self.pool_draws.fill(0);
+        self.cluster_delta.fill(0);
+        self.live_pods = 0;
+        if let Some(node) = self.node.as_mut() {
+            node.pod_delta.fill(0);
+            node.pulls.clear();
+        }
+    }
+}
+
 /// The authoritative shared state, advanced once per epoch boundary.
 ///
 /// One ledger exists per run (not per shard). At each boundary it settles
 /// the epoch's pool draws, runs any replenish intervals that became due,
 /// applies the net cluster deltas, and samples the platform-wide live-pod
 /// peak. Between boundaries it is immutable, which is what lets shards run
-/// an epoch without synchronization.
+/// an epoch without synchronization. The shards' deltas are summed into
+/// scratch vectors the ledger keeps, so settling a boundary allocates
+/// nothing.
 #[derive(Debug)]
 pub struct EpochLedger {
     pools: ResourcePools,
@@ -119,6 +157,10 @@ pub struct EpochLedger {
     last_replenish_ms: u64,
     last_live_pods: u64,
     peak_live_pods: u64,
+    /// Summed pool draws of the boundary being settled.
+    draws: Vec<u64>,
+    /// Summed cluster deltas of the boundary being settled.
+    cluster_delta: Vec<i64>,
 }
 
 impl EpochLedger {
@@ -135,6 +177,8 @@ impl EpochLedger {
             last_replenish_ms: 0,
             last_live_pods: 0,
             peak_live_pods: 0,
+            draws: Vec::new(),
+            cluster_delta: Vec::new(),
         }
     }
 
@@ -150,6 +194,20 @@ impl EpochLedger {
         }
     }
 
+    /// Brings `snapshot`, taken from this ledger at an earlier boundary, up
+    /// to date in place: afterwards it equals [`snapshot`](Self::snapshot),
+    /// but its vectors are reused and only node caches that changed since
+    /// are re-sorted.
+    pub(crate) fn refresh(&self, snapshot: &mut EpochSnapshot) {
+        self.pools.snapshot_idle_into(&mut snapshot.pool_idle);
+        snapshot.clusters.copy_from(&self.clusters);
+        snapshot.live_pods = self.last_live_pods;
+        match (&self.nodes, &mut snapshot.nodes) {
+            (Some(pool), Some(nodes)) => pool.refresh(nodes),
+            (pool, nodes) => *nodes = pool.as_ref().map(NodePool::snapshot),
+        }
+    }
+
     /// Settles one boundary: applies the shards' deltas (in shard-id order,
     /// though every operation is commutative), runs due replenish intervals,
     /// and samples the live-pod peak.
@@ -158,24 +216,28 @@ impl EpochLedger {
         boundary_ms: u64,
         deltas: impl IntoIterator<Item = &'a ShardDelta>,
     ) {
-        let mut draws = vec![0u64; self.pools.snapshot_idle().len()];
-        let mut cluster = vec![0i64; usize::from(self.clusters.clusters())];
+        zero(&mut self.draws, self.pools.entry_count());
+        zero(
+            &mut self.cluster_delta,
+            usize::from(self.clusters.clusters()),
+        );
         let mut live = 0u64;
-        let mut node_deltas: Vec<&NodeDelta> = Vec::new();
         for d in deltas {
-            for (acc, &x) in draws.iter_mut().zip(&d.pool_draws) {
+            for (acc, &x) in self.draws.iter_mut().zip(&d.pool_draws) {
                 *acc += x;
             }
-            for (acc, &x) in cluster.iter_mut().zip(&d.cluster_delta) {
+            for (acc, &x) in self.cluster_delta.iter_mut().zip(&d.cluster_delta) {
                 *acc += x;
             }
             live += d.live_pods;
-            node_deltas.extend(d.node.as_ref());
+            if let (Some(pool), Some(node)) = (self.nodes.as_mut(), d.node.as_ref()) {
+                pool.post(node);
+            }
         }
         // Draws settle first (they happened during the epoch), then any
         // replenish intervals that became due at or before this boundary —
         // the same order the event loop used when replenishment was a tick.
-        self.pools.apply_draws(boundary_ms, &draws);
+        self.pools.apply_draws(boundary_ms, &self.draws);
         let interval = self.replenish_interval_ms.max(1);
         if boundary_ms > self.last_replenish_ms {
             let elapsed = (boundary_ms - self.last_replenish_ms) / interval;
@@ -184,9 +246,9 @@ impl EpochLedger {
                 self.last_replenish_ms += elapsed * interval;
             }
         }
-        self.clusters.apply_delta(&cluster);
+        self.clusters.apply_delta(&self.cluster_delta);
         if let Some(pool) = self.nodes.as_mut() {
-            pool.apply(boundary_ms, node_deltas.iter().copied());
+            pool.settle(boundary_ms);
         }
         self.last_live_pods = live;
         self.peak_live_pods = self.peak_live_pods.max(live);
@@ -199,6 +261,12 @@ impl EpochLedger {
     }
 }
 
+/// Resizes `v` to `len` zeros, reusing its allocation.
+fn zero<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    v.clear();
+    v.resize(len, T::default());
+}
+
 /// How a shard's engine reaches the ledger at each boundary.
 ///
 /// The single-shard path ([`SequentialSync`]) and the threaded path
@@ -207,20 +275,23 @@ impl EpochLedger {
 /// engine cannot tell which one it is running under.
 pub(crate) trait EpochSync {
     /// Posts this shard's delta for the epoch ending at `boundary_ms` and
-    /// returns the reconciled snapshot for the next epoch. Every shard of a
-    /// run must call this for the same sequence of boundaries.
-    fn reconcile(&mut self, boundary_ms: u64, delta: ShardDelta) -> EpochSnapshot;
+    /// refreshes `snapshot` in place to the reconciled state for the next
+    /// epoch. Every shard of a run must call this for the same sequence of
+    /// boundaries, each with the snapshot it was handed at the start and has
+    /// refreshed at every boundary since.
+    fn reconcile(&mut self, boundary_ms: u64, delta: &ShardDelta, snapshot: &mut EpochSnapshot);
 }
 
-/// In-place reconciliation for a single shard: no barrier, no locking.
+/// In-place reconciliation for a single shard: no barrier, no locking, and
+/// no allocation.
 pub(crate) struct SequentialSync<'a> {
     pub ledger: &'a mut EpochLedger,
 }
 
 impl EpochSync for SequentialSync<'_> {
-    fn reconcile(&mut self, boundary_ms: u64, delta: ShardDelta) -> EpochSnapshot {
-        self.ledger.reconcile(boundary_ms, std::iter::once(&delta));
-        self.ledger.snapshot()
+    fn reconcile(&mut self, boundary_ms: u64, delta: &ShardDelta, snapshot: &mut EpochSnapshot) {
+        self.ledger.reconcile(boundary_ms, std::iter::once(delta));
+        self.ledger.refresh(snapshot);
     }
 }
 
@@ -229,22 +300,19 @@ pub(crate) struct SharedEpochState {
     barrier: Barrier,
     slots: Vec<Mutex<Option<ShardDelta>>>,
     ledger: Mutex<EpochLedger>,
-    published: Mutex<EpochSnapshot>,
 }
 
 impl SharedEpochState {
     pub(crate) fn new(ledger: EpochLedger, shards: usize) -> Self {
-        let published = Mutex::new(ledger.snapshot());
         Self {
             barrier: Barrier::new(shards),
             slots: (0..shards).map(|_| Mutex::new(None)).collect(),
             ledger: Mutex::new(ledger),
-            published,
         }
     }
 
     pub(crate) fn initial_snapshot(&self) -> EpochSnapshot {
-        self.published.lock().expect("snapshot lock").clone()
+        self.ledger.lock().expect("ledger lock").snapshot()
     }
 
     pub(crate) fn into_ledger(self) -> EpochLedger {
@@ -254,19 +322,20 @@ impl SharedEpochState {
 
 /// One shard's handle onto the shared epoch state.
 ///
-/// At a boundary every shard posts its delta into its own slot and waits on
-/// the barrier; one arbitrary thread (the barrier leader) drains the slots
-/// in shard-id order, advances the ledger, publishes the new snapshot, and a
-/// second barrier releases everyone to read it. Which thread leads is
-/// irrelevant to the result because the ledger merge is commutative.
+/// At a boundary every shard posts a copy of its delta into its own slot
+/// and waits on the barrier; one arbitrary thread (the barrier leader)
+/// drains the slots in shard-id order and advances the ledger, and a second
+/// barrier releases every shard to refresh its snapshot from the ledger.
+/// Which thread leads is irrelevant to the result because the ledger merge
+/// is commutative.
 pub(crate) struct SharedSync<'a> {
     pub state: &'a SharedEpochState,
     pub shard: usize,
 }
 
 impl EpochSync for SharedSync<'_> {
-    fn reconcile(&mut self, boundary_ms: u64, delta: ShardDelta) -> EpochSnapshot {
-        *self.state.slots[self.shard].lock().expect("slot lock") = Some(delta);
+    fn reconcile(&mut self, boundary_ms: u64, delta: &ShardDelta, snapshot: &mut EpochSnapshot) {
+        *self.state.slots[self.shard].lock().expect("slot lock") = Some(delta.clone());
         if self.state.barrier.wait().is_leader() {
             let deltas: Vec<ShardDelta> = self
                 .state
@@ -276,10 +345,13 @@ impl EpochSync for SharedSync<'_> {
                 .collect();
             let mut ledger = self.state.ledger.lock().expect("ledger lock");
             ledger.reconcile(boundary_ms, deltas.iter());
-            *self.state.published.lock().expect("snapshot lock") = ledger.snapshot();
         }
         self.state.barrier.wait();
-        self.state.published.lock().expect("snapshot lock").clone()
+        self.state
+            .ledger
+            .lock()
+            .expect("ledger lock")
+            .refresh(snapshot);
     }
 }
 
@@ -421,4 +493,107 @@ pub(crate) fn merge_outcomes(
         t.sort_by_time();
     }
     (merged, trace)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::{LayerKey, NodeClass, NodeModelConfig, PullRecord};
+    use fntrace::FunctionId;
+
+    /// Deterministic xorshift stream for the delta sequences.
+    fn rng(mut x: u64) -> impl FnMut(u64) -> u64 {
+        move |bound| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        }
+    }
+
+    /// Drives a ledger through `boundaries` pseudo-random epochs the way the
+    /// engine does — one reused delta, one snapshot refreshed in place — and
+    /// checks the refreshed snapshot against a fresh one after every
+    /// boundary. Returns how many times a layer cached at one boundary was
+    /// gone at the next.
+    fn refresh_tracks_fresh_snapshots(config: &PlatformConfig, boundaries: u64) -> usize {
+        let mut next = rng(0x9e37_79b9_7f4a_7c15);
+        let mut ledger = EpochLedger::new(config);
+        let mut snapshot = ledger.snapshot();
+        let mut delta = ShardDelta::zeroed(&snapshot);
+        let layers: Vec<LayerKey> = (1..=6)
+            .map(|id| LayerKey::of(FunctionId::new(id)))
+            .collect();
+        let mut evictions = 0;
+        for k in 1..=boundaries {
+            let boundary_ms = k * config.epoch_ms;
+            for draws in &mut delta.pool_draws {
+                *draws = next(6);
+            }
+            for d in &mut delta.cluster_delta {
+                *d = next(7) as i64 - 3;
+            }
+            delta.live_pods = next(50);
+            if let Some(node) = delta.node.as_mut() {
+                for d in &mut node.pod_delta {
+                    *d = next(6) as i64 - 2;
+                }
+                let nodes = node.pod_delta.len() as u64;
+                for _ in 0..next(8) {
+                    node.pulls.push(PullRecord {
+                        time_ms: boundary_ms - 1 - next(config.epoch_ms),
+                        node: next(nodes) as u32,
+                        layer: layers[next(layers.len() as u64) as usize],
+                    });
+                }
+            }
+            let before = snapshot.clone();
+            SequentialSync {
+                ledger: &mut ledger,
+            }
+            .reconcile(boundary_ms, &delta, &mut snapshot);
+            assert_eq!(snapshot, ledger.snapshot(), "boundary {k}");
+            delta.reset();
+            assert_eq!(delta, ShardDelta::zeroed(&snapshot), "boundary {k}");
+            if let (Some(old), Some(new)) = (&before.nodes, &snapshot.nodes) {
+                for node in 0..old.len() as u32 {
+                    evictions += layers
+                        .iter()
+                        .filter(|&&l| old.cache_hit(node, l) && !new.cache_hit(node, l))
+                        .count();
+                }
+            }
+        }
+        evictions
+    }
+
+    #[test]
+    fn in_place_refresh_equals_a_fresh_snapshot_without_nodes() {
+        let config = PlatformConfig::default();
+        assert!(config.node.is_none());
+        assert_eq!(refresh_tracks_fresh_snapshots(&config, 200), 0);
+    }
+
+    #[test]
+    fn in_place_refresh_equals_a_fresh_snapshot_with_nodes() {
+        // Three-layer caches over six layers evict on most boundaries, and a
+        // rolling redeploy halfway through clears them in batches.
+        let config = PlatformConfig {
+            node: Some(NodeModelConfig {
+                classes_per_cluster: vec![(
+                    NodeClass {
+                        capacity_pods: 8,
+                        pull_bandwidth_mbps: 100,
+                        cache_layers: 3,
+                    },
+                    2,
+                )],
+                redeploy_at_ms: Some(100 * PlatformConfig::default().epoch_ms),
+                ..NodeModelConfig::default()
+            }),
+            ..PlatformConfig::default()
+        };
+        let evictions = refresh_tracks_fresh_snapshots(&config, 200);
+        assert!(evictions > 0, "the sequence evicts cached layers");
+    }
 }

@@ -17,7 +17,8 @@
 //!
 //! Shared capacity (resource pools, cluster load) is never touched directly:
 //! the state reads the epoch-start [`EpochSnapshot`] and records its draws
-//! and deltas for the boundary reconciliation (see [`crate::shard`]). All
+//! and deltas in a [`ShardDelta`] for the boundary reconciliation (see
+//! [`crate::shard`]); both are refreshed in place at every boundary. All
 //! randomness is drawn from per-function streams derived independently from
 //! the run seed and the function's *global* index, and all public ids (pods,
 //! requests) are minted from per-function counters tagged with the global
@@ -38,12 +39,12 @@ use crate::arena::{FnIdx, PodArena, PodIdx};
 use crate::config::PlatformConfig;
 use crate::event::{Event, EventQueue};
 use crate::keepalive::{FunctionHistory, KeepAlivePolicy};
-use crate::node::{LayerKey, NodeDelta, PullRecord};
+use crate::node::{LayerKey, PullRecord};
 use crate::pod::{Pod, PodState};
 use crate::policy::{FunctionView, PlatformView};
 use crate::pool::PoolAcquire;
 use crate::report::{ComponentTotals, FunctionStats, SimReport};
-use crate::shard::{EpochSnapshot, FnAccum, ShardDelta, ShardOutcome};
+use crate::shard::{EpochSnapshot, EpochSync, FnAccum, ShardDelta, ShardOutcome};
 
 /// Hasher for the arrival-path `FunctionId -> FnIdx` map.
 ///
@@ -111,6 +112,10 @@ pub struct SimState<'a> {
     /// Resolves a hashed function id to its local index; consulted once per
     /// external arrival, never on internal events.
     pub(crate) fn_index: FnIndexMap,
+    /// The functions of the pre-warm view, one per member in member order,
+    /// each resolved through `fn_index` once (so a duplicate id names the
+    /// later entry every time it appears).
+    pub(crate) view_order: Vec<FnIdx>,
     pub(crate) latency_model: ColdStartLatencyModel,
     /// Per-member simulation RNG streams (see [`fn_rng`]).
     pub(crate) fn_rngs: Vec<Xoshiro256pp>,
@@ -137,19 +142,14 @@ pub struct SimState<'a> {
     pub(crate) trace: Option<RegionTrace>,
     /// Shared capacity as of the last epoch boundary.
     pub(crate) snapshot: EpochSnapshot,
-    /// Pods drawn from each pool entry this epoch (delta for the boundary).
-    pub(crate) pool_draws: Vec<u64>,
-    /// Net in-flight change per cluster this epoch.
-    pub(crate) cluster_delta: Vec<i64>,
+    /// This epoch's contribution to shared capacity: pool draws, net
+    /// in-flight change per cluster and, with the node model on, net
+    /// live-pod change per node and the layer pulls started.
+    pub(crate) delta: ShardDelta,
     /// Per-member draw budget bookkeeping: `draw_marks[i] == epoch` means
     /// `draw_counts[i]` is current, anything else means zero draws so far.
     pub(crate) draw_marks: Vec<u32>,
     pub(crate) draw_counts: Vec<u32>,
-    /// Net live-pod change per node this epoch (node model only; empty when
-    /// the model is off).
-    pub(crate) node_pod_delta: Vec<i64>,
-    /// Layer pulls started this epoch (node model only).
-    pub(crate) pull_records: Vec<PullRecord>,
     /// Per-member epoch stamp for `fn_node_use`, mirroring `draw_marks`.
     pub(crate) node_marks: Vec<u32>,
     /// A function's *own* node activity this epoch: placements count toward
@@ -195,6 +195,7 @@ impl<'a> SimState<'a> {
             // whatever the shard count.
             fn_index.insert(spec.function, FnIdx::new(local as u32));
         }
+        let view_order = specs.iter().map(|spec| fn_index[&spec.function]).collect();
         let trace = if config.record_trace {
             let mut trace = RegionTrace::new(workload.region);
             for &spec in &specs {
@@ -210,15 +211,14 @@ impl<'a> SimState<'a> {
         } else {
             None
         };
-        let pool_slots = snapshot.pool_idle.len();
-        let clusters = usize::from(snapshot.clusters.clusters());
-        let node_slots = snapshot.nodes.as_ref().map_or(0, |nodes| nodes.len());
+        let delta = ShardDelta::zeroed(&snapshot);
         Self {
             workload,
             config: config.clone(),
             members,
             specs,
             fn_index,
+            view_order,
             latency_model: ColdStartLatencyModel::new(workload.profile.clone()),
             fn_rngs,
             queue: EventQueue::new(),
@@ -234,12 +234,9 @@ impl<'a> SimState<'a> {
             accum: vec![FnAccum::default(); n],
             trace,
             snapshot,
-            pool_draws: vec![0; pool_slots],
-            cluster_delta: vec![0; clusters],
+            delta,
             draw_marks: vec![0; n],
             draw_counts: vec![0; n],
-            node_pod_delta: vec![0; node_slots],
-            pull_records: Vec::new(),
             node_marks: vec![0; n],
             fn_node_use: vec![Vec::new(); n],
             epoch: 1,
@@ -269,31 +266,14 @@ impl<'a> SimState<'a> {
         self.recent_arrivals.fill(0);
     }
 
-    /// This shard's contribution to shared state since the last boundary,
-    /// leaving the accumulators zeroed for the next epoch.
-    pub(crate) fn take_delta(&mut self) -> ShardDelta {
-        let node = self.snapshot.nodes.as_ref().map(|nodes| NodeDelta {
-            pod_delta: std::mem::replace(&mut self.node_pod_delta, vec![0; nodes.len()]),
-            pulls: std::mem::take(&mut self.pull_records),
-        });
-        ShardDelta {
-            pool_draws: std::mem::replace(
-                &mut self.pool_draws,
-                vec![0; self.snapshot.pool_idle.len()],
-            ),
-            cluster_delta: std::mem::replace(
-                &mut self.cluster_delta,
-                vec![0; usize::from(self.snapshot.clusters.clusters())],
-            ),
-            live_pods: u64::from(self.pods.live()),
-            node,
-        }
-    }
-
-    /// Installs the reconciled snapshot and opens the next epoch (lazily
-    /// invalidating every member's pool-draw budget via the epoch stamp).
-    pub(crate) fn begin_epoch(&mut self, snapshot: EpochSnapshot) {
-        self.snapshot = snapshot;
+    /// Settles the epoch ending at `boundary_ms`: posts this shard's delta
+    /// through `sync`, which refreshes the snapshot in place, zeroes the
+    /// delta, and opens the next epoch (lazily invalidating every member's
+    /// pool-draw budget via the epoch stamp).
+    pub(crate) fn settle_epoch(&mut self, boundary_ms: u64, sync: &mut dyn EpochSync) {
+        self.delta.live_pods = u64::from(self.pods.live());
+        sync.reconcile(boundary_ms, &self.delta, &mut self.snapshot);
+        self.delta.reset();
         self.epoch += 1;
     }
 
@@ -321,7 +301,7 @@ impl<'a> SimState<'a> {
                 }
                 if self.draw_counts[i] < idle {
                     self.draw_counts[i] += 1;
-                    self.pool_draws[slot] += 1;
+                    self.delta.pool_draws[slot] += 1;
                     self.report.pool_hits += 1;
                     return PoolAcquire::FromPool;
                 }
@@ -331,7 +311,7 @@ impl<'a> SimState<'a> {
         PoolAcquire::FromScratch
     }
 
-    pub(crate) fn function_view(&self, function: FnIdx, _now_ms: u64) -> FunctionView {
+    pub(crate) fn function_view(&self, function: FnIdx) -> FunctionView {
         let spec = self.specs[function.index()];
         let history = &self.histories[function.index()];
         FunctionView {
@@ -348,24 +328,18 @@ impl<'a> SimState<'a> {
         }
     }
 
-    /// Platform-wide view for the pre-warm policy: the shard's member
-    /// functions (in ascending global-table order) plus shared totals from
-    /// the epoch-start snapshot. Platform totals are epoch-stale by design;
-    /// per-function fields are live.
-    pub(crate) fn platform_view(&self, now_ms: u64) -> PlatformView {
-        let functions = self
-            .members
-            .iter()
-            .map(|&global| &self.workload.functions[global as usize])
-            .filter_map(|spec| self.resolve(spec.function))
-            .map(|idx| self.function_view(idx, now_ms))
-            .collect::<Vec<_>>();
-        PlatformView {
-            now_ms,
-            total_warm_pods: u32::try_from(self.snapshot.live_pods).unwrap_or(u32::MAX),
-            pooled_idle_pods: self.snapshot.pooled_idle(),
-            functions,
-        }
+    /// Refills `view` as the platform-wide view for the pre-warm policy:
+    /// the shard's member functions (in ascending global-table order) plus
+    /// shared totals from the epoch-start snapshot. Platform totals are
+    /// epoch-stale by design; per-function fields are live. The view's
+    /// function vector is reused.
+    pub(crate) fn fill_platform_view(&self, now_ms: u64, view: &mut PlatformView) {
+        view.now_ms = now_ms;
+        view.total_warm_pods = u32::try_from(self.snapshot.live_pods).unwrap_or(u32::MAX);
+        view.pooled_idle_pods = self.snapshot.pooled_idle();
+        view.functions.clear();
+        view.functions
+            .extend(self.view_order.iter().map(|&idx| self.function_view(idx)));
     }
 
     /// Samples one cold start for `function` and registers the new pod.
@@ -429,7 +403,7 @@ impl<'a> SimState<'a> {
                     self.report.layer_cache_hits += 1;
                 } else {
                     components.deploy_dep_us = nodes.pull_micros(node);
-                    self.pull_records.push(PullRecord {
+                    self.delta.node_mut().pulls.push(PullRecord {
                         time_ms: t,
                         node,
                         layer,
@@ -449,7 +423,7 @@ impl<'a> SimState<'a> {
                     pulled,
                 }),
             }
-            self.node_pod_delta[node as usize] += 1;
+            self.delta.node_mut().pod_delta[node as usize] += 1;
         }
 
         // Public pod ids are minted from a per-function never-reused counter
@@ -513,7 +487,7 @@ impl<'a> SimState<'a> {
     }
 
     /// Dispatches one admitted request.
-    pub(crate) fn dispatch(&mut self, function: FnIdx, t: u64, keep_alive: &dyn KeepAlivePolicy) {
+    pub(crate) fn dispatch(&mut self, function: FnIdx, t: u64) {
         let spec = self.specs[function.index()];
         self.report.requests += 1;
 
@@ -552,7 +526,7 @@ impl<'a> SimState<'a> {
             self.report.prewarmed_pods_used += 1;
         }
         let cluster = pod.cluster;
-        self.cluster_delta[usize::from(cluster)] += 1;
+        self.delta.cluster_delta[usize::from(cluster)] += 1;
         self.queue.push(
             t + startup_ms + exec_ms,
             Event::RequestComplete {
@@ -582,7 +556,6 @@ impl<'a> SimState<'a> {
                 memory_usage_bytes: memory,
             });
         }
-        let _ = keep_alive;
     }
 
     pub(crate) fn complete_request(
@@ -599,7 +572,7 @@ impl<'a> SimState<'a> {
         let function_id = pod.function;
         let became_idle = pod.complete_request(t, busy_ms);
         let generation = pod.expiry_generation;
-        self.cluster_delta[usize::from(cluster)] -= 1;
+        self.delta.cluster_delta[usize::from(cluster)] -= 1;
         if became_idle {
             let history = &self.histories[function.index()];
             let ka = keep_alive.keep_alive_ms(function_id, history);
@@ -641,7 +614,7 @@ impl<'a> SimState<'a> {
         acc.idle_pod_time_s += idle_s;
         acc.mem_gb_s_wasted += idle_s * pod.config.memory_mb as f64 / 1024.0;
         if let Some(node) = pod.node {
-            if let Some(d) = self.node_pod_delta.get_mut(node as usize) {
+            if let Some(d) = self.delta.node_mut().pod_delta.get_mut(node as usize) {
                 *d -= 1;
             }
         }
