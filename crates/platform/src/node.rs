@@ -312,8 +312,7 @@ pub struct NodeView {
 }
 
 /// Node state as of an epoch boundary: plain data, refreshed in place at
-/// each boundary like the rest of [`crate::shard::EpochSnapshot`]. Only the
-/// caches that changed since the previous refresh are copied and re-sorted.
+/// each boundary like the rest of [`crate::shard::EpochSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
     /// Per-node boundary state.
@@ -324,9 +323,6 @@ pub struct NodeSnapshot {
     pub layer_size_mb: u64,
     /// Placement policy in force.
     pub placement: PlacementPolicy,
-    /// Boundaries the source pool had settled when this snapshot was taken
-    /// or last refreshed.
-    settled: u64,
 }
 
 impl NodeSnapshot {
@@ -439,16 +435,10 @@ pub struct NodePool {
     redeploy_at_ms: Option<u64>,
     /// Nodes already cache-invalidated by the rolling deploy.
     rolled: u32,
-    /// Boundaries settled so far.
-    settled: u64,
-    /// Per node, the boundary (in `settled` numbering) at which its cache
-    /// last changed; a snapshot refresh re-sorts only caches changed after
-    /// the snapshot's own boundary.
-    cache_changed_at: Vec<u64>,
     /// Summed pod deltas of the boundary being settled; zero in between.
-    posted_pods: Vec<i64>,
+    pod_delta: Vec<i64>,
     /// Pull records of the boundary being settled; empty in between.
-    posted_pulls: Vec<PullRecord>,
+    pulls: Vec<PullRecord>,
 }
 
 impl NodePool {
@@ -483,10 +473,8 @@ impl NodePool {
             placement: config.placement,
             redeploy_at_ms: config.redeploy_at_ms,
             rolled: 0,
-            settled: 0,
-            cache_changed_at: vec![0; n],
-            posted_pods: vec![0; n],
-            posted_pulls: Vec::new(),
+            pod_delta: vec![0; n],
+            pulls: Vec::new(),
         }
     }
 
@@ -532,13 +520,12 @@ impl NodePool {
             caches,
             layer_size_mb: self.layer_size_mb,
             placement: self.placement,
-            settled: self.settled,
         }
     }
 
     /// Brings `snapshot`, taken from this pool at an earlier boundary, up to
-    /// date in place: pod counts and pressure are copied, and only the
-    /// caches that changed since that boundary are copied and re-sorted.
+    /// date in place: afterwards it equals [`snapshot`](Self::snapshot), but
+    /// its vectors are reused.
     pub(crate) fn refresh(&self, snapshot: &mut NodeSnapshot) {
         debug_assert_eq!(snapshot.nodes.len(), self.nodes.len(), "same pool");
         for ((view, &pods), &pressure) in snapshot
@@ -550,51 +537,31 @@ impl NodePool {
             view.pods = pods;
             view.pressure = pressure;
         }
-        for ((sorted, cache), &changed_at) in snapshot
-            .caches
-            .iter_mut()
-            .zip(&self.caches)
-            .zip(&self.cache_changed_at)
-        {
-            if changed_at > snapshot.settled {
-                sorted.clone_from(cache);
-                sorted.sort_unstable();
-            }
+        for (sorted, cache) in snapshot.caches.iter_mut().zip(&self.caches) {
+            sorted.clone_from(cache);
+            sorted.sort_unstable();
         }
-        snapshot.settled = self.settled;
     }
 
     /// Settles one boundary: sums the shards' pod deltas (clamped at zero),
     /// replays the epoch's pulls into the LRU caches in `(time, node,
     /// layer)` order, records the per-node pull counts as the next epoch's
-    /// pressure, and advances the rolling deploy if one is due.
+    /// pressure, and advances the rolling deploy if one is due. The sums and
+    /// pulls go through buffers the pool keeps, so this allocates nothing.
     pub fn apply<'a>(&mut self, boundary_ms: u64, deltas: impl IntoIterator<Item = &'a NodeDelta>) {
         for d in deltas {
-            self.post(d);
+            for (acc, &x) in self.pod_delta.iter_mut().zip(&d.pod_delta) {
+                *acc += x;
+            }
+            self.pulls.extend_from_slice(&d.pulls);
         }
-        self.settle(boundary_ms);
-    }
-
-    /// Adds one shard's delta to the boundary being settled.
-    pub(crate) fn post(&mut self, delta: &NodeDelta) {
-        for (acc, &x) in self.posted_pods.iter_mut().zip(&delta.pod_delta) {
-            *acc += x;
-        }
-        self.posted_pulls.extend_from_slice(&delta.pulls);
-    }
-
-    /// Settles the boundary from the deltas [`post`](Self::post)ed since the
-    /// last one (see [`apply`](Self::apply)), leaving the posting buffers
-    /// zeroed for the next boundary.
-    pub(crate) fn settle(&mut self, boundary_ms: u64) {
-        self.settled += 1;
-        for (pods, d) in self.pods.iter_mut().zip(&mut self.posted_pods) {
+        for (pods, d) in self.pods.iter_mut().zip(&mut self.pod_delta) {
             let updated = i64::from(*pods) + std::mem::take(d);
             *pods = u32::try_from(updated.max(0)).unwrap_or(u32::MAX);
         }
-        self.posted_pulls.sort_unstable();
+        self.pulls.sort_unstable();
         self.pressure.fill(0);
-        for pull in self.posted_pulls.drain(..) {
+        for pull in self.pulls.drain(..) {
             let node = pull.node as usize;
             if node >= self.nodes.len() {
                 continue;
@@ -607,7 +574,6 @@ impl NodePool {
             cache.insert(0, pull.layer);
             let cap = self.classes[self.nodes[node].1 as usize].cache_layers as usize;
             cache.truncate(cap);
-            self.cache_changed_at[node] = self.settled;
         }
         if let Some(at) = self.redeploy_at_ms {
             if boundary_ms >= at && (self.rolled as usize) < self.nodes.len() {
@@ -615,9 +581,8 @@ impl NodePool {
                 // node indices first — the "rolling" in rolling deploy.
                 let batch = self.nodes.len().div_ceil(4);
                 let end = (self.rolled as usize + batch).min(self.nodes.len());
-                for node in self.rolled as usize..end {
-                    self.caches[node].clear();
-                    self.cache_changed_at[node] = self.settled;
+                for cache in &mut self.caches[self.rolled as usize..end] {
+                    cache.clear();
                 }
                 self.rolled = end as u32;
             }

@@ -196,8 +196,7 @@ impl EpochLedger {
 
     /// Brings `snapshot`, taken from this ledger at an earlier boundary, up
     /// to date in place: afterwards it equals [`snapshot`](Self::snapshot),
-    /// but its vectors are reused and only node caches that changed since
-    /// are re-sorted.
+    /// but its vectors are reused.
     pub(crate) fn refresh(&self, snapshot: &mut EpochSnapshot) {
         self.pools.snapshot_idle_into(&mut snapshot.pool_idle);
         snapshot.clusters.copy_from(&self.clusters);
@@ -210,19 +209,21 @@ impl EpochLedger {
 
     /// Settles one boundary: applies the shards' deltas (in shard-id order,
     /// though every operation is commutative), runs due replenish intervals,
-    /// and samples the live-pod peak.
-    pub fn reconcile<'a>(
-        &mut self,
-        boundary_ms: u64,
-        deltas: impl IntoIterator<Item = &'a ShardDelta>,
-    ) {
+    /// and samples the live-pod peak. `deltas` is walked twice: once for the
+    /// pool, cluster and live-pod sums, once for the node parts.
+    pub fn reconcile<'a, I>(&mut self, boundary_ms: u64, deltas: I)
+    where
+        I: IntoIterator<Item = &'a ShardDelta>,
+        I::IntoIter: Clone,
+    {
+        let deltas = deltas.into_iter();
         zero(&mut self.draws, self.pools.entry_count());
         zero(
             &mut self.cluster_delta,
             usize::from(self.clusters.clusters()),
         );
         let mut live = 0u64;
-        for d in deltas {
+        for d in deltas.clone() {
             for (acc, &x) in self.draws.iter_mut().zip(&d.pool_draws) {
                 *acc += x;
             }
@@ -230,9 +231,6 @@ impl EpochLedger {
                 *acc += x;
             }
             live += d.live_pods;
-            if let (Some(pool), Some(node)) = (self.nodes.as_mut(), d.node.as_ref()) {
-                pool.post(node);
-            }
         }
         // Draws settle first (they happened during the epoch), then any
         // replenish intervals that became due at or before this boundary —
@@ -248,7 +246,7 @@ impl EpochLedger {
         }
         self.clusters.apply_delta(&self.cluster_delta);
         if let Some(pool) = self.nodes.as_mut() {
-            pool.settle(boundary_ms);
+            pool.apply(boundary_ms, deltas.filter_map(|d| d.node.as_ref()));
         }
         self.last_live_pods = live;
         self.peak_live_pods = self.peak_live_pods.max(live);
@@ -499,7 +497,7 @@ pub(crate) fn merge_outcomes(
 mod tests {
     use super::*;
     use crate::node::{LayerKey, NodeClass, NodeModelConfig, PullRecord};
-    use fntrace::FunctionId;
+    use fntrace::{ClusterId, FunctionId};
 
     /// Deterministic xorshift stream for the delta sequences.
     fn rng(mut x: u64) -> impl FnMut(u64) -> u64 {
@@ -514,8 +512,11 @@ mod tests {
     /// Drives a ledger through `boundaries` pseudo-random epochs the way the
     /// engine does — one reused delta, one snapshot refreshed in place — and
     /// checks the refreshed snapshot against a fresh one after every
-    /// boundary. Returns how many times a layer cached at one boundary was
-    /// gone at the next.
+    /// boundary. Cluster in-flight counts, node pods and node pressure are
+    /// also checked against running sums kept here, so a buffer the ledger
+    /// or node pool reuses cannot carry one boundary's delta into the next.
+    /// Returns how many times a layer cached at one boundary was gone at the
+    /// next.
     fn refresh_tracks_fresh_snapshots(config: &PlatformConfig, boundaries: u64) -> usize {
         let mut next = rng(0x9e37_79b9_7f4a_7c15);
         let mut ledger = EpochLedger::new(config);
@@ -524,6 +525,8 @@ mod tests {
         let layers: Vec<LayerKey> = (1..=6)
             .map(|id| LayerKey::of(FunctionId::new(id)))
             .collect();
+        let mut in_flight = vec![0i64; usize::from(snapshot.clusters.clusters())];
+        let mut pods = vec![0i64; snapshot.nodes.as_ref().map_or(0, NodeSnapshot::len)];
         let mut evictions = 0;
         for k in 1..=boundaries {
             let boundary_ms = k * config.epoch_ms;
@@ -547,12 +550,36 @@ mod tests {
                     });
                 }
             }
+            for (held, &d) in in_flight.iter_mut().zip(&delta.cluster_delta) {
+                *held = (*held + d).max(0);
+            }
+            let mut pressure = vec![0u32; pods.len()];
+            if let Some(node) = &delta.node {
+                for (held, &d) in pods.iter_mut().zip(&node.pod_delta) {
+                    *held = (*held + d).max(0);
+                }
+                for pull in &node.pulls {
+                    pressure[pull.node as usize] += 1;
+                }
+            }
+            let live_pods = delta.live_pods;
             let before = snapshot.clone();
             SequentialSync {
                 ledger: &mut ledger,
             }
             .reconcile(boundary_ms, &delta, &mut snapshot);
             assert_eq!(snapshot, ledger.snapshot(), "boundary {k}");
+            assert_eq!(snapshot.live_pods, live_pods, "boundary {k}");
+            for (cluster, &held) in in_flight.iter().enumerate() {
+                let counted = snapshot.clusters.in_flight(cluster as ClusterId);
+                assert_eq!(i64::from(counted), held, "boundary {k}");
+            }
+            if let Some(nodes) = &snapshot.nodes {
+                for ((view, &held), &pulls) in nodes.nodes.iter().zip(&pods).zip(&pressure) {
+                    assert_eq!(i64::from(view.pods), held, "boundary {k}");
+                    assert_eq!(view.pressure, pulls, "boundary {k}");
+                }
+            }
             delta.reset();
             assert_eq!(delta, ShardDelta::zeroed(&snapshot), "boundary {k}");
             if let (Some(old), Some(new)) = (&before.nodes, &snapshot.nodes) {
