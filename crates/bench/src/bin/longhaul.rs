@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run --release --bin longhaul -- --days 7
-//! cargo run --release --bin longhaul -- --days 7 --shards 4      # sharded engines
 //! cargo run --release --bin longhaul -- --days 7 --materialize   # eager baseline
 //! cargo run --release --bin longhaul -- --days 7 --write-trace DIR  # emit a CSV fileset
 //! cargo run --release --bin longhaul -- --trace-dir DIR          # disk-streamed replay
@@ -22,11 +21,6 @@
 //! path aborts, which is exactly the contrast the job documents. The
 //! `--max-rss-kb` flag turns the printed peak into a hard check.
 //!
-//! With `--shards N` the streamed run partitions the function population
-//! across `N` engine threads reconciling shared capacity at epoch
-//! boundaries (see `faas_platform::shard`); the report is byte-identical to
-//! `--shards 1`, so the flag measures pure scaling.
-//!
 //! The same contract extends to disk: `--trace-dir DIR` replays an on-disk
 //! CSV fileset (the `RegionTrace::write_csv_dir` layout) through
 //! `TraceReplayWorkload::open_csv_dir`, so peak RSS is bounded by the
@@ -44,8 +38,8 @@ use faas_platform::{PlatformConfig, SimulationSpec};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::RegionProfile;
 use faas_workload::replay::TraceReplayWorkload;
-use faas_workload::stream::{ArrivalStream, ShardedStream, StreamedWorkload};
-use faas_workload::{ScenarioPreset, ShardPlan, WorkloadSpec};
+use faas_workload::stream::{ArrivalStream, StreamedWorkload};
+use faas_workload::{ScenarioPreset, WorkloadSpec};
 use fntrace::synth::{SynthShape, SynthTraceSpec};
 use fntrace::{RegionId, RegionTrace};
 
@@ -59,7 +53,6 @@ struct Args {
     max_requests_per_day: f64,
     min_functions: usize,
     materialize: bool,
-    shards: u32,
     max_rss_kb: Option<u64>,
     trace_dir: Option<PathBuf>,
     write_trace: Option<PathBuf>,
@@ -70,8 +63,8 @@ struct Args {
 fn usage() -> String {
     "usage: longhaul [--days N] [--preset NAME] [--region N] [--seed N]\n\
      \x20               [--function-scale F] [--volume-scale F] [--max-rpd F]\n\
-     \x20               [--min-functions N] [--materialize] [--shards N]\n\
-     \x20               [--max-rss-kb N] [--trace-dir DIR] [--write-trace DIR]\n\
+     \x20               [--min-functions N] [--materialize] [--max-rss-kb N]\n\
+     \x20               [--trace-dir DIR] [--write-trace DIR]\n\
      \x20               [--trace-functions N] [--trace-rpd F]\n\n\
      --days           horizon in days (default 7)\n\
      --preset         scenario preset (default diurnal)\n\
@@ -83,8 +76,6 @@ fn usage() -> String {
      --min-functions  minimum population size (default 50)\n\
      --materialize    build the full event vector first (eager baseline);\n\
      \x20               with --trace-dir, parse the whole request table first\n\
-     --shards         intra-cell engine shards, byte-identical results\n\
-     \x20               for every value (default 1; streamed modes only)\n\
      --max-rss-kb     fail if peak RSS (VmHWM) exceeds this many kB\n\
      --trace-dir      replay an on-disk CSV fileset, streamed from disk\n\
      --write-trace    generate a synthetic CSV fileset into DIR and exit\n\
@@ -105,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         max_requests_per_day: 200_000.0,
         min_functions: 50,
         materialize: false,
-        shards: 1,
         max_rss_kb: None,
         trace_dir: None,
         write_trace: None,
@@ -129,7 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-rpd" => args.max_requests_per_day = parse(&take("--max-rpd")?)?,
             "--min-functions" => args.min_functions = parse(&take("--min-functions")?)?,
             "--materialize" => args.materialize = true,
-            "--shards" => args.shards = parse(&take("--shards")?)?,
             "--max-rss-kb" => args.max_rss_kb = Some(parse(&take("--max-rss-kb")?)?),
             "--trace-dir" => args.trace_dir = Some(PathBuf::from(take("--trace-dir")?)),
             "--write-trace" => args.write_trace = Some(PathBuf::from(take("--write-trace")?)),
@@ -166,11 +155,6 @@ fn main() -> ExitCode {
         }
     };
     let days = args.days.max(1);
-    let shards = args.shards.max(1);
-    if args.materialize && shards > 1 {
-        eprintln!("longhaul: --shards applies to the streamed modes only");
-        return ExitCode::FAILURE;
-    }
 
     // Fileset generation: emit the synthetic multi-day trace CSVs that the
     // --trace-dir modes replay, then exit. CI runs this step outside the
@@ -206,7 +190,7 @@ fn main() -> ExitCode {
         "streamed"
     };
     println!(
-        "longhaul: mode={mode} preset={} region={} days={days} seed={} shards={shards}",
+        "longhaul: mode={mode} preset={} region={} days={days} seed={}",
         args.preset.name(),
         args.region,
         args.seed,
@@ -258,31 +242,11 @@ fn main() -> ExitCode {
                 dir.display(),
             );
             println!("longhaul: open_passes={}", streamed.open_passes());
-            if shards > 1 {
-                let plan = ShardPlan::new(&streamed.header().functions, shards);
-                let plan = std::sync::Arc::new(plan);
-                let mut streams = Vec::new();
-                for s in 0..plan.shards() {
-                    match streamed.stream() {
-                        Ok(stream) => streams.push(ShardedStream::new(
-                            stream,
-                            std::sync::Arc::clone(&plan),
-                            s,
-                        )),
-                        Err(e) => {
-                            eprintln!("longhaul: failed to open trace stream: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                spec.run_sharded(streamed.header(), &plan, streams).0
-            } else {
-                match streamed.stream() {
-                    Ok(stream) => spec.run_streamed(streamed.header(), stream).0,
-                    Err(e) => {
-                        eprintln!("longhaul: failed to open trace stream: {e}");
-                        return ExitCode::FAILURE;
-                    }
+            match streamed.stream() {
+                Ok(stream) => spec.run_streamed(streamed.header(), stream).0,
+                Err(e) => {
+                    eprintln!("longhaul: failed to open trace stream: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
         };
@@ -328,18 +292,7 @@ fn main() -> ExitCode {
             workload.header().functions.len(),
             stream.horizon_ms(),
         );
-        if shards > 1 {
-            // One engine thread per shard over its own slice of the
-            // population, reconciling shared capacity at epoch boundaries.
-            // The report is byte-identical to the single-shard run.
-            let plan = ShardPlan::new(&workload.header().functions, shards);
-            let streams: Vec<_> = (0..plan.shards())
-                .map(|s| workload.stream_shard(&plan, s))
-                .collect();
-            spec.run_sharded(workload.header(), &plan, streams).0
-        } else {
-            spec.run_streamed(workload.header(), stream).0
-        }
+        spec.run_streamed(workload.header(), stream).0
     };
     finish(&args, report, started)
 }

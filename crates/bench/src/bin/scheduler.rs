@@ -19,25 +19,20 @@
 //! * `cascade_far_future`: deadlines spread across high wheel levels plus
 //!   beyond the 2^32 ms horizon, forcing cascades and overflow migration.
 //!
-//! Two end-to-end rows measure the intra-cell sharded engine (see
-//! `faas_platform::shard`) rather than the bare wheel:
+//! Two end-to-end rows measure the whole engine rather than the bare wheel:
 //!
-//! * `sharded_run_x1`: a full streamed simulation, single shard — the
-//!   committed single-shard throughput baseline.
-//! * `sharded_run_x4`: the identical workload across four shard threads
-//!   with epoch reconciliation; same report, different wall-clock. On
-//!   single-core runners the barrier overhead makes this row *slower* than
-//!   `x1` — scaling needs cores ≥ shards — so no cross-row ratio is gated.
-//! * `node_model_x1` / `node_model_x4`: the same workload with the
-//!   node-level cluster model enabled (cache-cold-failover node pool), so
-//!   the hot-path cost of placement, per-node image caches, and pull
-//!   contention is visible and gated next to the plain engine rows. Both
-//!   rows assert that per-component cold-start attribution sums exactly to
-//!   the total charged latency before reporting.
+//! * `engine_run`: a full streamed simulation — the committed engine
+//!   throughput baseline.
+//! * `node_model_run`: the same workload with the node-level cluster model
+//!   enabled (cache-cold-failover node pool), so the hot-path cost of
+//!   placement, per-node image caches, and pull contention is visible and
+//!   gated next to the plain engine row. The row asserts that
+//!   per-component cold-start attribution sums exactly to the total charged
+//!   latency before reporting.
 //!
 //! Writes `BENCH_engine.json` (`faas-coldstarts/engine/v1`): one entry per
 //! scenario with `events` (pushes + pops; processed arrivals for the
-//! sharded rows), `wall_ms`, and `events_per_sec`, plus an aggregate
+//! engine rows), `wall_ms`, and `events_per_sec`, plus an aggregate
 //! `total`. The committed file is the smoke baseline CI validates and gates
 //! against (see `docs/bench-schemas.md`).
 
@@ -51,7 +46,7 @@ use faas_stats::rng::Xoshiro256pp;
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::RegionProfile;
 use faas_workload::stream::StreamedWorkload;
-use faas_workload::{ScenarioPreset, ShardPlan};
+use faas_workload::ScenarioPreset;
 
 struct Args {
     smoke: bool,
@@ -242,57 +237,45 @@ fn bench_workload(n: usize, seed: u64) -> StreamedWorkload {
     )
 }
 
-/// Runs the bench workload through the engine: streamed single-shard, or
-/// sharded across `shards` threads with epoch reconciliation.
+/// Runs the bench workload through the streamed engine.
 fn run_engine(
     workload: &StreamedWorkload,
     config: PlatformConfig,
     seed: u64,
-    shards: u32,
 ) -> faas_platform::SimReport {
-    let spec = SimulationSpec::new().with_config(config).with_seed(seed);
-    if shards > 1 {
-        let plan = ShardPlan::new(&workload.header().functions, shards);
-        let streams: Vec<_> = (0..plan.shards())
-            .map(|s| workload.stream_shard(&plan, s))
-            .collect();
-        spec.run_sharded(workload.header(), &plan, streams).0
-    } else {
-        spec.run_streamed(workload.header(), workload.stream()).0
-    }
+    SimulationSpec::new()
+        .with_config(config)
+        .with_seed(seed)
+        .run_streamed(workload.header(), workload.stream())
+        .0
 }
 
-/// End-to-end sharded engine run: a diurnal preset workload sized to
-/// roughly `n` arrivals, streamed through `shards` engine threads. The
-/// reported `events` count is the engine's processed-arrival counter, which
-/// is byte-identical for every shard count — only `wall_ms` varies.
-fn sharded_run(n: usize, seed: u64, shards: u32) -> ScenarioResult {
+/// End-to-end engine run: a diurnal preset workload sized to roughly `n`
+/// arrivals. The reported `events` count is the engine's processed-arrival
+/// counter.
+fn engine_run(n: usize, seed: u64) -> ScenarioResult {
     let workload = bench_workload(n, seed);
     let config = PlatformConfig {
         record_trace: false,
         ..PlatformConfig::default()
     };
     let start = Instant::now();
-    let report = run_engine(&workload, config, seed, shards);
+    let report = run_engine(&workload, config, seed);
     ScenarioResult {
-        name: if shards > 1 {
-            "sharded_run_x4"
-        } else {
-            "sharded_run_x1"
-        },
+        name: "engine_run",
         events: report.events_processed,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
 
 /// End-to-end run with the node-level cluster model enabled: the same
-/// workload as `sharded_run`, but every pod creation routes through
+/// workload as `engine_run`, but every pod creation routes through
 /// placement, per-node image caches, and bandwidth-shared layer pulls (the
 /// cache-cold-failover scenario — all caches start empty, so this is the
 /// node layer's worst-case hot-path cost). Before reporting, the row
 /// asserts the engine's per-component invariant: charged cold-start
 /// components sum exactly to the total charged latency.
-fn node_model_run(n: usize, seed: u64, shards: u32) -> ScenarioResult {
+fn node_model_run(n: usize, seed: u64) -> ScenarioResult {
     let workload = bench_workload(n, seed);
     let config = PlatformConfig {
         record_trace: false,
@@ -300,7 +283,7 @@ fn node_model_run(n: usize, seed: u64, shards: u32) -> ScenarioResult {
         ..PlatformConfig::default()
     };
     let start = Instant::now();
-    let report = run_engine(&workload, config, seed, shards);
+    let report = run_engine(&workload, config, seed);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
         report.cold_components.total_us(),
@@ -312,11 +295,7 @@ fn node_model_run(n: usize, seed: u64, shards: u32) -> ScenarioResult {
         "a cache-cold run must pull at least one layer"
     );
     ScenarioResult {
-        name: if shards > 1 {
-            "node_model_x4"
-        } else {
-            "node_model_x1"
-        },
+        name: "node_model_run",
         events: report.events_processed,
         wall_ms,
     }
@@ -380,10 +359,8 @@ fn main() -> ExitCode {
         periodic_tick_train(per_scenario, &mut rng),
         same_timestamp_bursts(per_scenario, &mut rng),
         cascade_far_future(per_scenario, &mut rng),
-        sharded_run(per_scenario, args.seed, 1),
-        sharded_run(per_scenario, args.seed, 4),
-        node_model_run(per_scenario, args.seed, 1),
-        node_model_run(per_scenario, args.seed, 4),
+        engine_run(per_scenario, args.seed),
+        node_model_run(per_scenario, args.seed),
     ];
     for r in &results {
         println!(

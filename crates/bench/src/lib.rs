@@ -10,9 +10,8 @@
 //! committed `BENCH_*.json` baselines that CI validates and perf-gates
 //! (schemas documented in `docs/bench-schemas.md`): `sweep` (policy grid),
 //! `replay` (synthesize → replay round trip), `scheduler` (timing-wheel
-//! microbenchmarks plus matched single-shard / 4-shard simulation rows),
-//! and `longhaul` (month-scale O(1)-memory streaming runs; `--shards n`
-//! runs the same spec sharded and must report identical counts).
+//! microbenchmarks plus two end-to-end engine rows), and `longhaul`
+//! (month-scale O(1)-memory streaming runs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

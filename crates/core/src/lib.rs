@@ -44,12 +44,10 @@
 //! typed [`session::PolicyConfig`]s (named scenarios or sweep
 //! configurations), executed concurrently with a deterministic merge and
 //! streamed through [`session::ReportSink`]s into the shared
-//! `faas-coldstarts/session/v1` report envelope. Two independent
-//! parallelism knobs, both byte-identical to the sequential run: `threads`
-//! runs whole cells concurrently, and `shards`
-//! ([`session::ExperimentSession::with_shards`]) splits each streamed
-//! cell's function population across engine threads with epoch-boundary
-//! reconciliation (see `faas_platform::shard` and `ARCHITECTURE.md`).
+//! `faas-coldstarts/session/v1` report envelope. The one parallelism knob,
+//! `threads`, runs whole cells concurrently, each on one single-threaded
+//! engine, and is byte-identical to the sequential run (see
+//! `ARCHITECTURE.md`).
 //!
 //! ```
 //! use coldstarts::session::{ExperimentSession, RegionSource};

@@ -26,16 +26,16 @@
 //!   traffic releases pods quickly instead of idling. The keep-alive half is
 //!   [`HybridKeepAlive`]; the pre-warm half is [`HybridPrewarm`].
 //!
-//! # Shard safety
+//! # Determinism
 //!
 //! All three policies keep **per-function state only** — maps keyed by the
 //! function id, exactly the `AsyncPeakShaving` pattern — and every decision
 //! for a function reads only that function's own view/history. Policy
-//! objects are constructed fresh inside each shard's engine thread, a
-//! function belongs to exactly one shard, and requests are emitted in the
-//! deterministic member order of the shard's [`PlatformView`], so
-//! `run_sharded` stays byte-identical to `run_streamed` at every shard
-//! count (pinned 1–8 by `tests/adaptive_policies.rs`).
+//! objects are built fresh for every run by the policy factory, and
+//! requests are emitted in the table order of the [`PlatformView`], so two
+//! runs of one spec are byte-identical (pinned by
+//! `tests/adaptive_policies.rs`). The committed sweep bytes depend on both
+//! the per-function keying and the emission order.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -137,8 +137,7 @@ pub struct QuantileKeepAlive {
     /// while the target stays within ±20 % of it; 0 disables hysteresis).
     pub hysteresis: f64,
     /// Last applied keep-alive per function. Interior mutability because
-    /// [`KeepAlivePolicy::keep_alive_ms`] takes `&self`; per-function state
-    /// only, so the policy is shard-safe.
+    /// [`KeepAlivePolicy::keep_alive_ms`] takes `&self`.
     applied: RefCell<HashMap<u64, u64>>,
 }
 
@@ -266,8 +265,7 @@ impl ForecastPrewarm {
 impl PrewarmPolicy for ForecastPrewarm {
     fn prewarm(&mut self, view: &PlatformView) -> Vec<PrewarmRequest> {
         let mut out = Vec::new();
-        // Deterministic member order; every decision reads one function's
-        // own series only, so sharding cannot reorder or change decisions.
+        // Table order; every decision reads one function's own series only.
         for f in &view.functions {
             let Some(predicted) = self.observe_and_predict(f.function, f.recent_arrivals) else {
                 continue;

@@ -26,10 +26,8 @@ pub struct AsyncPeakShaving {
     /// deterministically.
     ///
     /// Keyed by function so each function's delay sequence depends only on
-    /// its own arrival history — the property that keeps the policy
-    /// shard-count-invariant under intra-cell sharding (a global counter
-    /// would interleave differently depending on which functions share an
-    /// engine; see `faas_platform::shard`).
+    /// its own arrival history, not on how its arrivals interleave with
+    /// other functions'. Committed output bytes depend on this keying.
     spread_counters: HashMap<u64, u64>,
 }
 

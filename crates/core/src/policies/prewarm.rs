@@ -131,10 +131,8 @@ impl PrewarmPolicy for DemandPrewarm {
 /// recently been invoked (call-chain prediction).
 ///
 /// This is the one policy that reads *another* function's view (the
-/// upstream's recent arrivals). It stays shard-count-invariant under
-/// intra-cell sharding because [`faas_workload::ShardPlan`] unions workflow
-/// chains over their upstream edges, so a downstream function and its
-/// caller always land in the same shard's [`PlatformView`].
+/// upstream's recent arrivals). The [`PlatformView`] lists every function
+/// in the table, so a downstream function's caller is always in it.
 #[derive(Debug, Clone)]
 pub struct WorkflowChainPrewarm {
     /// Downstream workflow function → upstream caller.

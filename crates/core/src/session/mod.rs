@@ -90,8 +90,7 @@ pub use envelope::{Envelope, JsonValue};
 pub use sink::{CellCollector, ProgressLog, ReportSink};
 pub use source::{
     ChunkSource, FixedWorkloadSource, LoweredWorkload, PresetSource, RegionSource,
-    ReplayTraceSource, ShardedLowered, SourceKind, SynthTraceSource, TraceDirSource,
-    WorkloadSource,
+    ReplayTraceSource, SourceKind, SynthTraceSource, TraceDirSource, WorkloadSource,
 };
 
 /// One typed policy configuration a session evaluates.
@@ -528,15 +527,6 @@ pub struct ExperimentSession {
     pub platform: PlatformConfig,
     /// Worker threads for `run`; 0 means one per available core.
     pub threads: usize,
-    /// Intra-cell shards: each streamed cell's function population is
-    /// partitioned across this many engine threads, reconciling shared
-    /// capacity at epoch boundaries (see `faas_platform::shard`). `1` (the
-    /// default, and any value ≤ 1) runs each cell single-threaded. Reports
-    /// are byte-identical for every shard count, so this is purely a
-    /// performance knob — orthogonal to [`threads`](Self::threads), which
-    /// spreads *cells* across workers. Ignored by
-    /// [`run_materialized`](Self::run_materialized).
-    pub shards: u32,
 }
 
 impl Default for ExperimentSession {
@@ -558,7 +548,6 @@ impl ExperimentSession {
                 ..PlatformConfig::default()
             },
             threads: 0,
-            shards: 1,
         }
     }
 
@@ -577,14 +566,6 @@ impl ExperimentSession {
     /// Sets the worker-thread count (0 = one per available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the intra-cell shard count (values ≤ 1 run cells
-    /// single-threaded). The session report is byte-identical for every
-    /// value — sharding only changes how fast streamed cells run.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -745,7 +726,7 @@ impl ExperimentSession {
                     Execution::Streamed => {
                         // Policies only ever transform the static tables
                         // (e.g. concurrency boosts), so an adjusted header
-                        // still pairs with the untouched event stream(s).
+                        // still pairs with the untouched event stream.
                         // The adjustment runs against an event-free copy: a
                         // spec-backed header owns the full event vector,
                         // which the streamed paths ignore and
@@ -768,34 +749,13 @@ impl ExperimentSession {
                                     .unwrap_or(stripped),
                             )
                         };
-                        if self.shards > 1 {
-                            let sharded = self.sources[si]
-                                .lower_sharded(seeds::sim_seed(self.seeds[ki]), self.shards);
-                            let region = sharded.header.region;
-                            let report = match adjust(&sharded.header) {
-                                Some(adjusted) => {
-                                    spec.run_sharded(&adjusted, &sharded.plan, sharded.streams)
-                                        .0
-                                }
-                                None => {
-                                    spec.run_sharded(
-                                        &sharded.header,
-                                        &sharded.plan,
-                                        sharded.streams,
-                                    )
-                                    .0
-                                }
-                            };
-                            (report, region)
-                        } else {
-                            let lowered = self.sources[si].lower(seeds::sim_seed(self.seeds[ki]));
-                            let region = lowered.header.region;
-                            let report = match adjust(&lowered.header) {
-                                Some(adjusted) => spec.run_streamed(&adjusted, lowered.stream).0,
-                                None => spec.run_streamed(&lowered.header, lowered.stream).0,
-                            };
-                            (report, region)
-                        }
+                        let lowered = self.sources[si].lower(seeds::sim_seed(self.seeds[ki]));
+                        let region = lowered.header.region;
+                        let report = match adjust(&lowered.header) {
+                            Some(adjusted) => spec.run_streamed(&adjusted, lowered.stream).0,
+                            None => spec.run_streamed(&lowered.header, lowered.stream).0,
+                        };
+                        (report, region)
                     }
                     Execution::Materialized => {
                         let workload = workloads[wi].as_ref();
@@ -950,31 +910,6 @@ mod tests {
             parallel.envelope("test").to_json().as_bytes(),
             sequential.envelope("test").to_json().as_bytes()
         );
-    }
-
-    #[test]
-    fn sharded_sessions_agree_with_unsharded_byte_for_byte() {
-        // Preset and Region sources exercise the stream_shard override; the
-        // synth-trace source exercises the default ShardedStream filter path.
-        let session =
-            tiny_session().source(SynthTraceSource::new(fntrace::synth::SynthTraceSpec {
-                region: fntrace::RegionId::new(2),
-                functions: 8,
-                duration_days: 1,
-                mean_requests_per_day: 150.0,
-                seed: 0,
-                ..fntrace::synth::SynthTraceSpec::default()
-            }));
-        let unsharded = session.run();
-        for shards in [2, 4] {
-            let sharded = session.clone().with_shards(shards).run();
-            assert_eq!(sharded, unsharded, "shards={shards}");
-            assert_eq!(
-                sharded.envelope("test").to_json().as_bytes(),
-                unsharded.envelope("test").to_json().as_bytes(),
-                "envelope bytes diverged at shards={shards}"
-            );
-        }
     }
 
     #[test]

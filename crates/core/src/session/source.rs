@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize};
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::replay::{StreamedTraceDir, TraceReplayWorkload, TraceStreamError};
-use faas_workload::stream::{ArrivalStream, ShardedStream, SpecStream, StreamedWorkload};
-use faas_workload::{ScenarioPreset, ShardPlan, WorkloadSpec};
+use faas_workload::stream::{ArrivalStream, SpecStream, StreamedWorkload};
+use faas_workload::{ScenarioPreset, WorkloadSpec};
 use fntrace::synth::SynthTraceSpec;
 use fntrace::{RegionId, RegionTrace};
 
@@ -106,22 +106,6 @@ impl LoweredWorkload {
     }
 }
 
-/// A workload lowered to *header + one event stream per shard* for one
-/// session cell running intra-cell sharded (see `faas_platform::shard`).
-///
-/// The `n` streams partition the events [`WorkloadSource::lower`] would
-/// produce for the same seed, by the plan's function→shard routing; the
-/// plan itself rides along because the engine needs it to assign member
-/// functions to shards.
-pub struct ShardedLowered {
-    /// Static tables, exactly as [`LoweredWorkload::header`].
-    pub header: Arc<WorkloadSpec>,
-    /// The function→shard assignment the streams were partitioned by.
-    pub plan: Arc<ShardPlan>,
-    /// One event stream per shard, in shard order.
-    pub streams: Vec<Box<dyn ArrivalStream + Send>>,
-}
-
 /// One origin of workloads for a session.
 ///
 /// Implementations must be deterministic: the same `seed` must always
@@ -155,39 +139,6 @@ pub trait WorkloadSource: Send + Sync {
     /// `tests/session_determinism.rs`).
     fn lower(&self, seed: u64) -> LoweredWorkload {
         LoweredWorkload::from_spec(self.workload(seed))
-    }
-
-    /// Lowers the workload for one seed into a header plus one event stream
-    /// per shard, for intra-cell sharded execution.
-    ///
-    /// The default lowers the source once per shard and filters each full
-    /// stream down to its shard's functions with
-    /// [`ShardedStream`] — correct for any deterministic source, at the cost
-    /// of generating every event `n` times. Generative sources override
-    /// this to produce each shard's events directly (see
-    /// `StreamedWorkload::stream_shard`), so per-shard generation cost
-    /// scales with the shard's own population.
-    fn lower_sharded(&self, seed: u64, shards: u32) -> ShardedLowered {
-        let first = self.lower(seed);
-        let plan = Arc::new(ShardPlan::new(&first.header.functions, shards));
-        let header = Arc::clone(&first.header);
-        let mut inners = vec![first.stream];
-        for _ in 1..plan.shards() {
-            inners.push(self.lower(seed).stream);
-        }
-        let streams = inners
-            .into_iter()
-            .enumerate()
-            .map(|(s, inner)| {
-                Box::new(ShardedStream::new(inner, Arc::clone(&plan), s as u32))
-                    as Box<dyn ArrivalStream + Send>
-            })
-            .collect();
-        ShardedLowered {
-            header,
-            plan,
-            streams,
-        }
     }
 }
 
@@ -252,31 +203,6 @@ impl WorkloadSource for PresetSource {
         );
         let stream = Box::new(streamed.stream());
         LoweredWorkload::from_stream(Arc::clone(streamed.header()), stream)
-    }
-
-    fn lower_sharded(&self, seed: u64, shards: u32) -> ShardedLowered {
-        let streamed = StreamedWorkload::generate(
-            &self.preset.profile(&self.region),
-            self.preset.calibration(self.duration_days),
-            &self.population,
-            seed,
-        );
-        shard_streamed(streamed, shards)
-    }
-}
-
-/// Partitions a generative workload into per-shard streams via
-/// `StreamedWorkload::stream_shard`, so each shard only generates (and
-/// holds per-function arrival state for) its own member functions.
-fn shard_streamed(streamed: StreamedWorkload, shards: u32) -> ShardedLowered {
-    let plan = Arc::new(ShardPlan::new(&streamed.header().functions, shards));
-    let streams = (0..plan.shards())
-        .map(|s| Box::new(streamed.stream_shard(&plan, s)) as Box<dyn ArrivalStream + Send>)
-        .collect();
-    ShardedLowered {
-        header: Arc::clone(streamed.header()),
-        plan,
-        streams,
     }
 }
 
@@ -348,12 +274,6 @@ impl WorkloadSource for RegionSource {
             StreamedWorkload::generate(&self.profile, self.calibration, &self.population, seed);
         let stream = Box::new(streamed.stream());
         LoweredWorkload::from_stream(Arc::clone(streamed.header()), stream)
-    }
-
-    fn lower_sharded(&self, seed: u64, shards: u32) -> ShardedLowered {
-        let streamed =
-            StreamedWorkload::generate(&self.profile, self.calibration, &self.population, seed);
-        shard_streamed(streamed, shards)
     }
 }
 

@@ -12,17 +12,15 @@
 //! reports and traces, which is what keeps outputs byte-identical across
 //! engine internals:
 //!
-//! * **Public ids** are shard-count-invariant: [`fntrace::FunctionId`] is
-//!   the hashed 64-bit function identifier from the workload, and
-//!   [`fntrace::PodId`] is minted as
-//!   `(region << 48) | (global_index << 26) | counter`, where
-//!   `global_index` is the function's dense position in the *full* workload
-//!   table and `counter` is a never-reused, per-function monotone counter.
-//!   Deriving the id from the function (rather than one run-global counter)
-//!   means a pod's id does not depend on how many shards the run used or
-//!   which functions share its engine — the property the sharded
-//!   byte-equality contract rests on (see [`crate::shard`]). Request ids
-//!   are minted the same way. Everything written to a trace or a report
+//! * **Public ids**: [`fntrace::FunctionId`] is the hashed 64-bit function
+//!   identifier from the workload, and [`fntrace::PodId`] is minted as
+//!   `(region << 48) | (table_index << 26) | counter`, where `table_index`
+//!   is the function's dense position in the workload table and `counter`
+//!   is a never-reused, per-function monotone counter. Deriving the id from
+//!   the function (rather than one run-global counter) means a pod's id does
+//!   not depend on arena slot reuse or on how pod creations interleave
+//!   across functions; committed trace bytes depend on this scheme. Request
+//!   ids are minted the same way. Everything written to a trace or a report
 //!   uses these.
 //! * **Dense ids** are run-internal. [`FnIdx`] is a function's position in
 //!   the run's [`faas_workload::WorkloadSpec::functions`] table, assigned

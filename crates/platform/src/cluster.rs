@@ -58,7 +58,7 @@ impl ClusterState {
     ///
     /// The choice is a pure function of `(self, function)` — no RNG, no
     /// hidden state — so for a given seed it is byte-identical whatever the
-    /// shard count or evaluation order.
+    /// evaluation order.
     pub fn place_pod(&self, function: FunctionId) -> ClusterId {
         let home = self.home_cluster(function) as usize;
         let least = *self.in_flight.iter().min().expect("at least one cluster");
@@ -107,9 +107,8 @@ impl ClusterState {
     /// Deltas beyond the cluster count are ignored and each counter clamps
     /// at zero, mirroring the bounds-checked saturating behaviour of the
     /// incremental [`begin_request`](Self::begin_request) /
-    /// [`complete_request`](Self::complete_request) pair. Summing per-shard
-    /// deltas and applying them here is commutative, which is what makes the
-    /// epoch merge order-independent (see [`crate::shard`]).
+    /// [`complete_request`](Self::complete_request) pair. The engine applies
+    /// each epoch's net deltas here at the boundary.
     pub fn apply_delta(&mut self, delta: &[i64]) {
         for (c, &d) in self.in_flight.iter_mut().zip(delta) {
             let updated = i64::from(*c) + d;

@@ -24,14 +24,15 @@ pub struct PlatformConfig {
     /// Length of one reconciliation epoch, in milliseconds (clamped to at
     /// least one).
     ///
-    /// Shared capacity — resource pools and cluster in-flight counts — is
-    /// observed through a snapshot taken at the last epoch boundary and
-    /// settled at the next one (see [`crate::shard`]). The default matches
-    /// the pre-warm and pool-replenish cadence, so shared state is exactly
-    /// as fresh as the periodic policies that act on it. The epoch length is
-    /// part of the simulation semantics: the same value must be used for a
-    /// single-shard and an `n`-shard run to compare them, and changing it
-    /// changes reported numbers.
+    /// Shared capacity — resource pools, cluster in-flight counts and, with
+    /// the node model on, node state — is observed through a snapshot taken
+    /// at the last epoch boundary and settled at the next one. The default
+    /// matches the pre-warm and pool-replenish cadence, so shared state is
+    /// exactly as fresh as the periodic policies that act on it. The epoch
+    /// length is part of the simulation semantics: changing it changes
+    /// reported numbers, including
+    /// [`SimReport::peak_live_pods`](crate::SimReport::peak_live_pods),
+    /// which is sampled at boundaries.
     pub epoch_ms: u64,
     /// Node-level fidelity: per-node image caches, placement, and pull
     /// contention (see [`crate::node`]). `None` — the default — keeps the

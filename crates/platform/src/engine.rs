@@ -9,12 +9,9 @@
 //!
 //! The loop is *epoch-quantized*: simulated time is cut at fixed
 //! [`epoch_ms`](crate::PlatformConfig::epoch_ms) boundaries, and shared
-//! capacity (resource pools, cluster load) is reconciled only there, through
-//! an `EpochSync` (see [`crate::shard`]). Pool replenishment happens as
-//! part of the boundary settlement rather than as a queued event. The
-//! single-shard entry point [`SimulationEngine::run_streamed`] runs the same
-//! boundary protocol with a trivial in-place ledger, which is what makes it
-//! byte-identical to `SimulationSpec::run_sharded` at any shard count.
+//! capacity (resource pools, cluster load, nodes) is settled only there, by
+//! the run's epoch ledger. Pool replenishment happens as part of the
+//! boundary settlement rather than as a queued event.
 //!
 //! The primary entry point is [`SimulationEngine::run_streamed`], which
 //! consumes any [`ArrivalStream`] — arrivals are pulled one at a time, so
@@ -33,13 +30,9 @@ use crate::event::Event;
 use crate::keepalive::KeepAlivePolicy;
 use crate::policy::{AdmissionPolicy, PlatformView, PrewarmPolicy};
 use crate::report::SimReport;
-use crate::shard::{
-    merge_outcomes, EpochLedger, EpochSnapshot, EpochSync, SequentialSync, ShardOutcome,
-};
 use crate::state::SimState;
 
-/// Single-use discrete-event engine for one region replay (or one shard of
-/// one).
+/// Single-use discrete-event engine for one region replay.
 pub struct SimulationEngine {
     config: PlatformConfig,
     keep_alive: Box<dyn KeepAlivePolicy>,
@@ -96,10 +89,10 @@ impl SimulationEngine {
     /// consumed is recorded in
     /// [`SimReport::events_processed`](crate::SimReport).
     ///
-    /// This is the single-shard special case of the sharded protocol: the
-    /// shard owns the whole workload table and reconciles its epoch deltas
-    /// against a private [`EpochLedger`], so the result is byte-identical to
-    /// `SimulationSpec::run_sharded` at any shard count.
+    /// The boundary sequence is `{k * epoch_ms : k >= 1} ∪ {horizon}`
+    /// clipped to the stream's horizon. Internal events strictly before a
+    /// boundary are drained first; events exactly *at* a boundary run after
+    /// it, against the fresh snapshot.
     ///
     /// # Example
     ///
@@ -127,52 +120,11 @@ impl SimulationEngine {
     /// assert_eq!(report.events_processed, report.requests);
     /// ```
     pub fn run_streamed(
-        self,
-        workload: &WorkloadSpec,
-        events: impl ArrivalStream,
-    ) -> (SimReport, Option<RegionTrace>) {
-        let names = (
-            self.keep_alive.name().to_string(),
-            self.prewarm.name().to_string(),
-            self.admission.name().to_string(),
-        );
-        let mut ledger = EpochLedger::new(&self.config);
-        let members: Vec<u32> = (0..workload.functions.len() as u32).collect();
-        let snapshot = ledger.snapshot();
-        let outcome = {
-            let mut sync = SequentialSync {
-                ledger: &mut ledger,
-            };
-            self.run_shard(workload, events, members, snapshot, &mut sync)
-        };
-        merge_outcomes(
-            workload,
-            vec![outcome],
-            ledger,
-            (&names.0, &names.1, &names.2),
-        )
-    }
-
-    /// Runs one shard: its own event stream, member functions, timing wheel,
-    /// and arena, with shared capacity reconciled through `sync` at every
-    /// epoch boundary.
-    ///
-    /// The boundary sequence is `{k * epoch_ms : k >= 1} ∪ {duration}`
-    /// clipped to the horizon — derived only from the configuration and the
-    /// stream horizon, so every shard of a run crosses the same boundaries
-    /// the same number of times (the threaded [`EpochSync`] relies on that
-    /// for its barrier). Internal events strictly before a boundary are
-    /// drained first; events exactly *at* a boundary run after it, against
-    /// the fresh snapshot.
-    pub(crate) fn run_shard(
         mut self,
         workload: &WorkloadSpec,
         events: impl ArrivalStream,
-        members: Vec<u32>,
-        snapshot: EpochSnapshot,
-        sync: &mut dyn EpochSync,
-    ) -> ShardOutcome {
-        let mut state = SimState::new(workload, &self.config, self.seed, members, snapshot);
+    ) -> (SimReport, Option<RegionTrace>) {
+        let mut state = SimState::new(workload, &self.config, self.seed);
         // The stream's horizon is the simulation end: periodic ticks stop
         // rescheduling past it and surviving pods are finalised at it.
         let duration = events.horizon_ms();
@@ -191,7 +143,7 @@ impl SimulationEngine {
                 if event.timestamp_ms < b {
                     break;
                 }
-                self.cross_boundary(&mut state, b, duration, sync);
+                self.cross_boundary(&mut state, b, duration);
                 next_boundary = next_boundary_after(b, epoch, duration);
             }
             while let Some((t, e)) = state.queue.pop_due(event.timestamp_ms) {
@@ -199,11 +151,11 @@ impl SimulationEngine {
             }
             self.handle_arrival(&mut state, event.function, event.timestamp_ms);
         }
-        // Cross the boundaries the arrivals never reached — the threaded
-        // sync needs every shard to complete the full sequence even if its
-        // stream ran dry early.
+        // Cross the boundaries the arrivals never reached: each still
+        // settles pool draws, replenishment and the live-pod peak, and the
+        // pre-warm ticks between them read the refreshed snapshot.
         while let Some(b) = next_boundary {
-            self.cross_boundary(&mut state, b, duration, sync);
+            self.cross_boundary(&mut state, b, duration);
             next_boundary = next_boundary_after(b, epoch, duration);
         }
         // Drain the remaining internal events (completions and expiries at
@@ -217,24 +169,22 @@ impl SimulationEngine {
         for pod_idx in live {
             state.finalize_pod(pod_idx, duration);
         }
-        state.into_outcome()
+        state.into_report([
+            self.keep_alive.name().to_string(),
+            self.prewarm.name().to_string(),
+            self.admission.name().to_string(),
+        ])
     }
 
     /// Crosses one epoch boundary: drains internal events strictly before
-    /// it, posts the shard's delta, and refreshes the snapshot in place.
-    fn cross_boundary(
-        &mut self,
-        state: &mut SimState<'_>,
-        boundary: u64,
-        duration: u64,
-        sync: &mut dyn EpochSync,
-    ) {
+    /// it, then settles the epoch.
+    fn cross_boundary(&mut self, state: &mut SimState<'_>, boundary: u64, duration: u64) {
         if boundary > 0 {
             while let Some((t, e)) = state.queue.pop_due(boundary - 1) {
                 self.handle_internal(state, t, e, duration);
             }
         }
-        state.settle_epoch(boundary, sync);
+        state.settle_epoch(boundary);
     }
 
     fn handle_internal(&mut self, state: &mut SimState<'_>, t: u64, event: Event, duration: u64) {
@@ -382,8 +332,6 @@ mod tests {
         );
         assert_eq!(walk(60_000, 30_000), vec![30_000]);
         assert_eq!(walk(60_000, 0), vec![0]);
-        // The sequence depends only on (epoch, duration): every shard of a
-        // run derives the identical sequence, which the barrier sync needs.
     }
 
     #[test]

@@ -36,9 +36,7 @@
 //! The wheel is observationally identical to the binary-heap queue it
 //! replaced: events pop in ascending `(time_ms, seq)` order, where `seq` is
 //! the queue's own push counter — i.e. time order with same-timestamp FIFO
-//! stability. In a sharded run every shard engine owns one queue, so `seq`
-//! orders each shard's events independently; cross-shard ordering is fixed
-//! by the epoch merge instead (see [`crate::shard`]).
+//! stability.
 //! `tests/wheel_properties.rs` pins the queue order with a heap oracle
 //! under randomized push/pop/pop_due interleavings, including far-future
 //! overflow and same-timestamp bursts. Every committed envelope and BENCH
@@ -80,7 +78,7 @@ pub enum Event {
     /// Periodic tick that lets the pre-warm policy act.
     ///
     /// Pool replenishment has no event of its own: it happens at epoch
-    /// boundaries, outside the wheel (see [`crate::shard`]).
+    /// boundaries, outside the wheel.
     PrewarmTick,
 }
 

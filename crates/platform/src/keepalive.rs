@@ -656,14 +656,6 @@ mod expiry_edge_tests {
         }
     }
 
-    /// A single-shard state over the whole workload table, with a fresh
-    /// epoch snapshot — what the engine builds for an unsharded run.
-    fn test_state<'a>(w: &'a WorkloadSpec, cfg: &PlatformConfig, seed: u64) -> SimState<'a> {
-        let members: Vec<u32> = (0..w.functions.len() as u32).collect();
-        let snapshot = crate::shard::EpochLedger::new(cfg).snapshot();
-        SimState::new(w, cfg, seed, members, snapshot)
-    }
-
     /// Drains the internal queue the way the engine does, handling only the
     /// pod life-cycle events the tests exercise.
     fn drain(state: &mut SimState<'_>, policy: &dyn KeepAlivePolicy) {
@@ -708,7 +700,7 @@ mod expiry_edge_tests {
         };
 
         // Path A: the scheduled expiry event fires at its exact due time.
-        let mut a = test_state(&w, &cfg, 9);
+        let mut a = SimState::new(&w, &cfg, 9);
         let f = a.resolve(FunctionId::new(1)).expect("function in workload");
         a.dispatch(f, 0);
         let (t_complete, event) = a.queue.pop().expect("completion scheduled");
@@ -728,7 +720,7 @@ mod expiry_edge_tests {
 
         // Path B: same run (same seed is deterministic), but the horizon cuts
         // the simulation at exactly the expiry time and finalizes the pod.
-        let mut b = test_state(&w, &cfg, 9);
+        let mut b = SimState::new(&w, &cfg, 9);
         b.dispatch(f, 0);
         let (tc, event) = b.queue.pop().expect("completion scheduled");
         let Event::RequestComplete {
@@ -743,12 +735,11 @@ mod expiry_edge_tests {
 
         // Both paths account the identical lifetime, idle time, and wasted
         // memory: expiring exactly at the horizon is not a special case.
-        let ra = a.into_outcome();
-        let rb = b.into_outcome();
-        assert!(ra.accum[0].pod_lifetime_s > 0.0);
-        assert_eq!(ra.accum[0].pod_lifetime_s, rb.accum[0].pod_lifetime_s);
-        assert_eq!(ra.accum[0].idle_pod_time_s, rb.accum[0].idle_pod_time_s);
-        assert_eq!(ra.accum[0].mem_gb_s_wasted, rb.accum[0].mem_gb_s_wasted);
+        let (ra, rb) = (a.accum[0], b.accum[0]);
+        assert!(ra.pod_lifetime_s > 0.0);
+        assert_eq!(ra.pod_lifetime_s, rb.pod_lifetime_s);
+        assert_eq!(ra.idle_pod_time_s, rb.idle_pod_time_s);
+        assert_eq!(ra.mem_gb_s_wasted, rb.mem_gb_s_wasted);
     }
 
     #[test]
@@ -759,7 +750,7 @@ mod expiry_edge_tests {
             duration_ms: 10_000,
         };
 
-        let mut state = test_state(&w, &cfg, 11);
+        let mut state = SimState::new(&w, &cfg, 11);
         let f = state
             .resolve(FunctionId::new(1))
             .expect("function in workload");
@@ -784,8 +775,7 @@ mod expiry_edge_tests {
         assert!(state.pods.is_empty(), "fresh expiry eventually fires");
         assert_eq!(state.report.requests, 2);
         // One pod served both requests, so exactly one lifetime is accounted.
-        let outcome = state.into_outcome();
-        assert!(outcome.accum[0].pod_lifetime_s > 0.0);
-        assert!(outcome.accum[0].idle_pod_time_s > 0.0);
+        assert!(state.accum[0].pod_lifetime_s > 0.0);
+        assert!(state.accum[0].idle_pod_time_s > 0.0);
     }
 }

@@ -31,20 +31,18 @@
 //! optionally, a full [`fntrace::RegionTrace`] so the characterization
 //! pipeline can analyse simulated data exactly like measured data.
 //!
-//! # Entry points and scaling
+//! # Entry point
 //!
 //! [`SimulationSpec::run_streamed`] drives one engine over any
 //! [`faas_workload::stream::ArrivalStream`] in memory proportional to the
-//! live state, not the event count.
-//! [`SimulationSpec::run_sharded`](spec::SimulationSpec::run_sharded)
-//! partitions a cell's function population across engine threads (one
-//! timing wheel and arena per shard) and reconciles shared capacity at
-//! fixed epoch boundaries ([`shard`]); its report and trace are
-//! byte-identical to `run_streamed` for every shard count — the invariant
-//! pinned by `tests/sharded_determinism.rs` and documented end to end in
-//! the repository's `ARCHITECTURE.md`. Hot-path internals live in
-//! [`event`] (hierarchical timing wheel) and [`arena`] (dense
-//! index-addressed state).
+//! live state, not the event count. The engine is epoch-quantized: shared
+//! capacity (pools, cluster load, nodes) is observed through a snapshot
+//! taken at the last epoch boundary and settled at the next one
+//! ([`PlatformConfig::epoch_ms`]). Committed output bytes depend on that
+//! model, as documented end to end in the repository's `ARCHITECTURE.md`.
+//! Experiments that need many runs spread whole cells across cores (the
+//! `coldstarts` session API). Hot-path internals live in [`event`]
+//! (hierarchical timing wheel) and [`arena`] (dense index-addressed state).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +51,7 @@ pub mod arena;
 pub mod cluster;
 pub mod config;
 pub mod engine;
+mod epoch;
 pub mod event;
 pub mod keepalive;
 pub mod node;
@@ -60,7 +59,6 @@ pub mod pod;
 pub mod policy;
 pub mod pool;
 pub mod report;
-pub mod shard;
 pub mod spec;
 pub mod state;
 
@@ -80,5 +78,4 @@ pub use policy::{
 };
 pub use pool::{PoolConfig, ResourcePools};
 pub use report::{FunctionStats, LatencyStats, SimReport};
-pub use shard::{EpochLedger, EpochSnapshot, ShardDelta};
 pub use spec::{BaselinePolicies, PolicyFactory, SimulationSpec};

@@ -13,29 +13,28 @@
 //! becomes an explicit layer-pull time — zero on a cache hit,
 //! bandwidth-shared when many concurrent pulls hit one node.
 //!
-//! # Epoch-merge contract
+//! # Epoch contract
 //!
 //! Node and cache state are shared mutable state exactly like the resource
-//! pools, so they join the epoch-reconciliation protocol of
-//! [`crate::shard`]:
+//! pools, so they are settled at epoch boundaries with them (see the crate's
+//! epoch ledger):
 //!
-//! * Shards observe node state only through the epoch-start
+//! * The engine observes node state only through the epoch-start
 //!   [`NodeSnapshot`]: per-node pod counts, pull pressure, and a sorted
 //!   cache-membership view.
 //! * Within an epoch a function sees its **own** placements and pulls
-//!   immediately (tracked shard-locally, like the pool-draw budget) but
-//!   other functions' activity only from the next boundary on — the same
-//!   documented epoch-granularity approximation the pools use.
-//! * Each shard's contribution is a commutative [`NodeDelta`]: per-node pod
-//!   deltas (sums) and the epoch's pull records. At the boundary the
-//!   authoritative [`NodePool`] sums the pod deltas and applies the pulls to
-//!   the LRU caches in `(time, node, layer)` order — a total order over
-//!   distinct records, so the merged cache state is independent of the shard
-//!   count and `run_sharded` stays byte-identical to `run_streamed`.
+//!   immediately (like its pool-draw budget) but other functions' activity
+//!   only from the next boundary on — the same epoch-granularity
+//!   approximation the pools use.
+//! * The epoch's activity is a [`NodeDelta`]: per-node pod deltas and the
+//!   epoch's pull records. At the boundary the authoritative [`NodePool`]
+//!   applies the pod deltas and replays the pulls into the LRU caches in
+//!   `(time, node, layer)` order, a total order over distinct records.
 //!
 //! Placement itself is a pure function of the snapshot, the function id,
 //! and the function's own within-epoch placements — seeded state only, no
-//! RNG — which is the other half of the shard-invariance argument.
+//! RNG. Committed output bytes depend on both the pull order and the
+//! placement rules.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,8 +80,7 @@ pub struct NodeClass {
 
 /// How the node for a new pod is chosen. Every policy is a pure function of
 /// the epoch-start snapshot, the function id, and the function's own
-/// within-epoch placements, so placement is byte-deterministic at every
-/// shard count.
+/// within-epoch placements, so placement is byte-deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlacementPolicy {
     /// Route through [`ClusterState::place_pod`] (home cluster with the
@@ -271,10 +269,10 @@ impl NodeScenario {
     }
 }
 
-/// One pull started during an epoch: the boundary merge replays pulls into
-/// the authoritative caches in `(time, node, layer)` order — a total order
-/// over distinct records (layer keys are per-function), so the merged LRU
-/// state cannot depend on shard interleaving.
+/// One pull started during an epoch: the boundary replays pulls into the
+/// authoritative caches in `(time, node, layer)` order — a total order over
+/// distinct records (layer keys are per-function), so the LRU state does
+/// not depend on the order the engine recorded them in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PullRecord {
     /// Simulation time the pull started, milliseconds.
@@ -285,17 +283,17 @@ pub struct PullRecord {
     pub layer: LayerKey,
 }
 
-/// One shard's node-state contribution over one epoch. All fields merge
-/// commutatively: pod deltas sum, pull records are globally re-sorted.
+/// The node-state activity of one epoch: per-node pod deltas and the pulls
+/// started, which the boundary sorts before replaying them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeDelta {
     /// Net live-pod change per node (placements minus finalizations).
     pub pod_delta: Vec<i64>,
-    /// Pulls started during the epoch, in shard-local event order.
+    /// Pulls started during the epoch, in event order.
     pub pulls: Vec<PullRecord>,
 }
 
-/// Read-only per-node view shards use during an epoch.
+/// Read-only per-node view the engine uses during an epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeView {
     /// Cluster the node belongs to.
@@ -312,7 +310,7 @@ pub struct NodeView {
 }
 
 /// Node state as of an epoch boundary: plain data, refreshed in place at
-/// each boundary like the rest of [`crate::shard::EpochSnapshot`].
+/// each boundary like the rest of the engine's epoch snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSnapshot {
     /// Per-node boundary state.
@@ -355,10 +353,9 @@ impl NodeSnapshot {
     /// Chooses the node for a new pod of `function`.
     ///
     /// `own` reports the function's *own* placements this epoch per node
-    /// (its shard-local budget, invisible to other functions until the next
-    /// boundary); the effective load of a node is its snapshot pod count
-    /// plus that. Pure in `(self, clusters, function, own)` — no RNG — so
-    /// the choice is identical whatever the shard count.
+    /// (invisible to other functions until the next boundary); the
+    /// effective load of a node is its snapshot pod count plus that. Pure in
+    /// `(self, clusters, function, own)` — no RNG.
     pub fn choose_node(
         &self,
         function: FunctionId,
@@ -416,9 +413,8 @@ impl NodeSnapshot {
     }
 }
 
-/// Authoritative node state, owned by the run's
-/// [`EpochLedger`](crate::shard::EpochLedger) and advanced only at epoch
-/// boundaries.
+/// Authoritative node state, owned by the run's epoch ledger and advanced
+/// only at epoch boundaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodePool {
     /// `(cluster, class index)` per node, cluster-major enumeration.
@@ -435,10 +431,6 @@ pub struct NodePool {
     redeploy_at_ms: Option<u64>,
     /// Nodes already cache-invalidated by the rolling deploy.
     rolled: u32,
-    /// Summed pod deltas of the boundary being settled; zero in between.
-    pod_delta: Vec<i64>,
-    /// Pull records of the boundary being settled; empty in between.
-    pulls: Vec<PullRecord>,
 }
 
 impl NodePool {
@@ -473,8 +465,6 @@ impl NodePool {
             placement: config.placement,
             redeploy_at_ms: config.redeploy_at_ms,
             rolled: 0,
-            pod_delta: vec![0; n],
-            pulls: Vec::new(),
         }
     }
 
@@ -488,7 +478,7 @@ impl NodePool {
         self.nodes.is_empty()
     }
 
-    /// The snapshot shards observe until the next boundary.
+    /// The snapshot the engine observes until the next boundary.
     pub fn snapshot(&self) -> NodeSnapshot {
         let nodes = self
             .nodes
@@ -543,25 +533,19 @@ impl NodePool {
         }
     }
 
-    /// Settles one boundary: sums the shards' pod deltas (clamped at zero),
-    /// replays the epoch's pulls into the LRU caches in `(time, node,
-    /// layer)` order, records the per-node pull counts as the next epoch's
-    /// pressure, and advances the rolling deploy if one is due. The sums and
-    /// pulls go through buffers the pool keeps, so this allocates nothing.
-    pub fn apply<'a>(&mut self, boundary_ms: u64, deltas: impl IntoIterator<Item = &'a NodeDelta>) {
-        for d in deltas {
-            for (acc, &x) in self.pod_delta.iter_mut().zip(&d.pod_delta) {
-                *acc += x;
-            }
-            self.pulls.extend_from_slice(&d.pulls);
-        }
-        for (pods, d) in self.pods.iter_mut().zip(&mut self.pod_delta) {
+    /// Settles one boundary: applies the epoch's pod deltas (clamped at
+    /// zero), replays its pulls into the LRU caches in `(time, node, layer)`
+    /// order, records the per-node pull counts as the next epoch's
+    /// pressure, and advances the rolling deploy if one is due. The delta is
+    /// left zeroed, and its buffers are reused, so this allocates nothing.
+    pub fn apply(&mut self, boundary_ms: u64, delta: &mut NodeDelta) {
+        for (pods, d) in self.pods.iter_mut().zip(&mut delta.pod_delta) {
             let updated = i64::from(*pods) + std::mem::take(d);
             *pods = u32::try_from(updated.max(0)).unwrap_or(u32::MAX);
         }
-        self.pulls.sort_unstable();
+        delta.pulls.sort_unstable();
         self.pressure.fill(0);
-        for pull in self.pulls.drain(..) {
+        for pull in delta.pulls.drain(..) {
             let node = pull.node as usize;
             if node >= self.nodes.len() {
                 continue;
@@ -648,11 +632,10 @@ mod tests {
         };
         p.apply(
             60_000,
-            [NodeDelta {
+            &mut NodeDelta {
                 pod_delta: vec![3],
                 pulls: vec![pull(1, 1), pull(2, 2), pull(3, 1), pull(4, 3)],
-            }]
-            .iter(),
+            },
         );
         let snap = p.snapshot();
         // Capacity two: layer 2 (pulled at t=2, never touched again) was
@@ -665,11 +648,10 @@ mod tests {
         // Pressure resets every epoch; pods clamp at zero.
         p.apply(
             120_000,
-            [NodeDelta {
+            &mut NodeDelta {
                 pod_delta: vec![-9],
                 pulls: Vec::new(),
-            }]
-            .iter(),
+            },
         );
         let snap = p.snapshot();
         assert_eq!(snap.nodes[0].pods, 0);
@@ -677,55 +659,35 @@ mod tests {
     }
 
     #[test]
-    fn pull_merge_is_shard_count_invariant() {
+    fn pull_order_within_a_delta_does_not_matter() {
+        // Two layers pulled onto node 0 at the same instant: the cache's
+        // recency order comes from the sorted replay, not from the order
+        // the pulls were recorded in.
         let layer = |id: u64| LayerKey::of(FunctionId::new(id));
-        let pulls = vec![
-            PullRecord {
-                time_ms: 5,
-                node: 0,
-                layer: layer(1),
-            },
-            PullRecord {
-                time_ms: 9,
-                node: 0,
-                layer: layer(2),
-            },
-            PullRecord {
-                time_ms: 2,
-                node: 1,
-                layer: layer(3),
-            },
-        ];
-        let one_shard = {
+        let pull = |time_ms: u64, node: u32, id: u64| PullRecord {
+            time_ms,
+            node,
+            layer: layer(id),
+        };
+        let pulls = vec![pull(5, 0, 1), pull(5, 0, 2), pull(9, 0, 3), pull(2, 1, 4)];
+        let settle = |pulls: Vec<PullRecord>| {
             let mut p = pool(&NodeModelConfig::default());
-            p.apply(
-                60_000,
-                [NodeDelta {
-                    pod_delta: vec![1, 1, 0, 0, 0, 0, 0, 0],
-                    pulls: pulls.clone(),
-                }]
-                .iter(),
-            );
+            let mut delta = NodeDelta {
+                pod_delta: vec![1, 1, 0, 0, 0, 0, 0, 0],
+                pulls,
+            };
+            p.apply(60_000, &mut delta);
+            assert_eq!(delta.pod_delta, vec![0; 8], "the delta is left zeroed");
+            assert!(delta.pulls.is_empty(), "the delta is left zeroed");
             p
         };
-        let two_shards = {
-            let mut p = pool(&NodeModelConfig::default());
-            // The same records split across shards in a different order.
-            let deltas = [
-                NodeDelta {
-                    pod_delta: vec![0, 1, 0, 0, 0, 0, 0, 0],
-                    pulls: vec![pulls[2], pulls[1]],
-                },
-                NodeDelta {
-                    pod_delta: vec![1, 0, 0, 0, 0, 0, 0, 0],
-                    pulls: vec![pulls[0]],
-                },
-            ];
-            p.apply(60_000, deltas.iter());
-            p
-        };
-        assert_eq!(one_shard, two_shards);
-        assert_eq!(one_shard.snapshot(), two_shards.snapshot());
+        let recorded = settle(pulls.clone());
+        let reversed = settle(pulls.iter().rev().copied().collect());
+        let shuffled = settle(vec![pulls[2], pulls[0], pulls[3], pulls[1]]);
+        assert_eq!(recorded, reversed);
+        assert_eq!(recorded, shuffled);
+        assert_eq!(recorded.snapshot(), shuffled.snapshot());
+        assert_eq!(recorded.snapshot().nodes[0].pressure, 3);
     }
 
     #[test]
@@ -743,11 +705,10 @@ mod tests {
             .collect();
         p.apply(
             60_000,
-            [NodeDelta {
+            &mut NodeDelta {
                 pod_delta: vec![0; 8],
                 pulls: storm,
-            }]
-            .iter(),
+            },
         );
         let hot = p.snapshot();
         assert_eq!(hot.nodes[0].pressure, 200);
@@ -800,28 +761,27 @@ mod tests {
             .collect();
         p.apply(
             60_000,
-            [NodeDelta {
+            &mut NodeDelta {
                 pod_delta: vec![0; 8],
                 pulls: warm,
-            }]
-            .iter(),
+            },
         );
         let layer = LayerKey::of(FunctionId::new(99));
         let snap = p.snapshot();
         assert!((0..8).all(|n| snap.cache_hit(n, layer)));
         // First boundary past the deploy: nodes 0 and 1 invalidated.
-        p.apply(120_000, [].iter());
+        p.apply(120_000, &mut NodeDelta::default());
         let snap = p.snapshot();
         assert!(!snap.cache_hit(0, layer) && !snap.cache_hit(1, layer));
         assert!((2..8).all(|n| snap.cache_hit(n, layer)));
         // Two more boundaries finish the roll.
-        p.apply(180_000, [].iter());
-        p.apply(240_000, [].iter());
+        p.apply(180_000, &mut NodeDelta::default());
+        p.apply(240_000, &mut NodeDelta::default());
         let snap = p.snapshot();
         assert!((0..6).all(|n| !snap.cache_hit(n, layer)));
         // Batches are ceil(8/4) = 2 per boundary: 6 rolled after three.
         assert!((6..8).all(|n| snap.cache_hit(n, layer)));
-        p.apply(300_000, [].iter());
+        p.apply(300_000, &mut NodeDelta::default());
         let snap = p.snapshot();
         assert!((0..8).all(|n| !snap.cache_hit(n, layer)));
     }

@@ -200,9 +200,9 @@ impl ResourcePools {
 
     /// The pools' current idle counts by configuration, in entry order.
     ///
-    /// This is the per-epoch snapshot shard engines draw against (see
-    /// [`crate::shard`]); indices into the returned vector align with the
-    /// draw totals [`apply_draws`](Self::apply_draws) consumes.
+    /// This is the per-epoch snapshot the engine draws against; indices into
+    /// the returned vector align with the draw totals
+    /// [`apply_draws`](Self::apply_draws) consumes.
     pub fn snapshot_idle(&self) -> Vec<(ResourceConfig, u32)> {
         self.entries.iter().map(|e| (e.cfg, e.idle)).collect()
     }
@@ -214,21 +214,16 @@ impl ResourcePools {
         out.extend(self.entries.iter().map(|e| (e.cfg, e.idle)));
     }
 
-    /// Number of pool entries: the length of a snapshot or a draw vector.
-    pub(crate) fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Settles one epoch's pod draws against the pools at `now_ms`.
     ///
-    /// `draws` holds the per-entry totals accumulated by the shard engines
-    /// during the epoch, aligned with [`snapshot_idle`](Self::snapshot_idle).
-    /// Each entry is clamped at zero: shards draw against the epoch-start
-    /// snapshot, so their combined optimistic draws may exceed what was
-    /// actually pooled — the surplus is simply absorbed (the oversubscription
-    /// is the documented epoch-granularity approximation). The idle-memory
-    /// integral is advanced to `now_ms` first, so the epoch is charged at the
-    /// snapshot level the shards actually saw.
+    /// `draws` holds the per-entry totals the engine accumulated during the
+    /// epoch, aligned with [`snapshot_idle`](Self::snapshot_idle). Each entry
+    /// is clamped at zero: functions draw against the epoch-start snapshot,
+    /// so their combined optimistic draws may exceed what was actually
+    /// pooled — the surplus is simply absorbed (the oversubscription is the
+    /// documented epoch-granularity approximation). The idle-memory integral
+    /// is advanced to `now_ms` first, so the epoch is charged at the snapshot
+    /// level the engine actually saw.
     pub fn apply_draws(&mut self, now_ms: u64, draws: &[u64]) {
         self.integrate_to(now_ms);
         for (entry, &drawn) in self.entries.iter_mut().zip(draws) {

@@ -67,7 +67,7 @@ impl ComponentTotals {
         self.pod_alloc_us + self.deploy_code_us + self.deploy_dep_us + self.scheduling_us
     }
 
-    /// Adds another total in (commutative, so shard-merge safe).
+    /// Adds another total in.
     pub fn add(&mut self, other: &ComponentTotals) {
         self.pod_alloc_us += other.pod_alloc_us;
         self.deploy_code_us += other.deploy_code_us;
@@ -147,7 +147,13 @@ pub struct SimReport {
     /// the cold-start rate: keeping pods warm longer reduces cold starts but
     /// grows this number.
     pub mem_gb_s_wasted: f64,
-    /// Peak number of simultaneously live pods.
+    /// Largest number of live pods seen at an epoch boundary.
+    ///
+    /// The count is sampled only when an epoch settles
+    /// ([`PlatformConfig::epoch_ms`](crate::PlatformConfig::epoch_ms)), so
+    /// pods created and finalized between two boundaries never show: this is
+    /// a lower bound on the instantaneous peak, and it depends on the epoch
+    /// length.
     pub peak_live_pods: u32,
     /// Per-function cold-start attribution, sorted by function id. Populated
     /// only when the workload is replay-tagged; empty for synthetic runs.

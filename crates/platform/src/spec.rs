@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use faas_workload::stream::ArrivalStream;
-use faas_workload::{ShardPlan, WorkloadSpec};
+use faas_workload::WorkloadSpec;
 use fntrace::RegionTrace;
 
 use crate::config::PlatformConfig;
@@ -24,7 +24,6 @@ use crate::engine::SimulationEngine;
 use crate::keepalive::{FixedKeepAlive, KeepAlivePolicy};
 use crate::policy::{AdmissionPolicy, NoAdmissionControl, NoPrewarm, PrewarmPolicy};
 use crate::report::SimReport;
-use crate::shard::{merge_outcomes, EpochLedger, ShardOutcome, SharedEpochState, SharedSync};
 
 /// Builds one run's worth of policies for a given workload.
 ///
@@ -146,98 +145,6 @@ impl SimulationSpec {
         events: impl ArrivalStream,
     ) -> (SimReport, Option<RegionTrace>) {
         self.engine(workload).run_streamed(workload, events)
-    }
-
-    /// Runs the workload sharded across `plan.shards()` worker threads, one
-    /// timing-wheel engine per shard, reconciling shared capacity at epoch
-    /// boundaries (see [`crate::shard`]).
-    ///
-    /// `streams` holds one arrival stream per shard, each yielding exactly
-    /// the events of that shard's member functions (see
-    /// `StreamedWorkload::stream_shard` and
-    /// [`faas_workload::stream::ShardedStream`]); all must report the same
-    /// horizon. The result — report bytes and trace bytes — is identical to
-    /// [`run_streamed`](Self::run_streamed) over the unsharded stream, for
-    /// every shard count: within an epoch every decision depends only on a
-    /// function's own state, its own RNG stream, and the epoch-start
-    /// snapshot, and the boundary merge is deterministic (shard-id order for
-    /// anything ordered, commutative sums for the rest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream count does not match the plan, if the plan does
-    /// not cover the workload table, or if the streams disagree on the
-    /// horizon.
-    pub fn run_sharded<S>(
-        &self,
-        workload: &WorkloadSpec,
-        plan: &ShardPlan,
-        streams: Vec<S>,
-    ) -> (SimReport, Option<RegionTrace>)
-    where
-        S: ArrivalStream + Send,
-    {
-        let shards = plan.shards() as usize;
-        assert_eq!(streams.len(), shards, "one arrival stream per shard");
-        assert_eq!(
-            plan.functions(),
-            workload.functions.len(),
-            "shard plan must cover the workload table"
-        );
-        assert!(
-            streams
-                .windows(2)
-                .all(|w| w[0].horizon_ms() == w[1].horizon_ms()),
-            "all shard streams must report the same horizon"
-        );
-        if shards == 1 {
-            let stream = streams.into_iter().next().expect("one stream");
-            return self.run_streamed(workload, stream);
-        }
-
-        // Policy names for the merged report; the factory builds a fresh
-        // (identical) set per shard, so one more set just for labels is fine.
-        let keep_alive_name = self.policies.keep_alive(workload).name().to_string();
-        let prewarm_name = self.policies.prewarm(workload).name().to_string();
-        let admission_name = self.policies.admission(workload).name().to_string();
-
-        let shared = SharedEpochState::new(EpochLedger::new(&self.config), shards);
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = streams
-                .into_iter()
-                .enumerate()
-                .map(|(shard, stream)| {
-                    let members: Vec<u32> = plan
-                        .member_indices(shard as u32)
-                        .into_iter()
-                        .map(|i| i as u32)
-                        .collect();
-                    // The engine (and its policy boxes, which need not be
-                    // `Send`) is constructed inside the thread; only the
-                    // spec, the plan's members, and the stream cross.
-                    scope.spawn(move || {
-                        let engine = self.engine(workload);
-                        let mut sync = SharedSync {
-                            state: shared,
-                            shard,
-                        };
-                        let snapshot = shared.initial_snapshot();
-                        engine.run_shard(workload, stream, members, snapshot, &mut sync)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        merge_outcomes(
-            workload,
-            outcomes,
-            shared.into_ledger(),
-            (&keep_alive_name, &prewarm_name, &admission_name),
-        )
     }
 }
 

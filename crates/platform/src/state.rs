@@ -1,29 +1,23 @@
 //! Mutable simulation state.
 //!
-//! [`SimState`] owns everything that changes while (one shard of) a workload
-//! replays: the event queue, live pods, per-function histories and RNG
-//! streams, the snapshot of shared capacity, and the report being
-//! accumulated. The event loop in [`crate::engine`] drives it; splitting the
-//! two keeps the loop readable and lets alternative drivers (the sharded
-//! run, future incremental re-simulation) reuse the state transitions
-//! unchanged.
+//! [`SimState`] owns everything that changes while a workload replays: the
+//! event queue, live pods, per-function histories and RNG streams, the
+//! snapshot of shared capacity, and the report being accumulated. The event
+//! loop in [`crate::engine`] drives it; splitting the two keeps the loop
+//! readable.
 //!
-//! A state covers a *shard*: a subset of the workload table identified by
-//! its ascending `members` (dense global indices). The unsharded engine is
-//! simply the one-shard special case where `members` is the whole table.
 //! Everything per-function — specs, histories, warm-pod lists, RNG streams,
-//! accumulators — is indexed by the *local* member position ([`FnIdx`]), so
-//! a shard's memory is proportional to its own population, not the cell's.
+//! accumulators — is indexed by the function's workload-table index
+//! ([`FnIdx`]).
 //!
-//! Shared capacity (resource pools, cluster load) is never touched directly:
-//! the state reads the epoch-start [`EpochSnapshot`] and records its draws
-//! and deltas in a [`ShardDelta`] for the boundary reconciliation (see
-//! [`crate::shard`]); both are refreshed in place at every boundary. All
-//! randomness is drawn from per-function streams derived independently from
-//! the run seed and the function's *global* index, and all public ids (pods,
-//! requests) are minted from per-function counters tagged with the global
-//! index — which is why nothing the state produces depends on how functions
-//! were interleaved across shards.
+//! Shared capacity (resource pools, cluster load, nodes) is never touched
+//! directly: the state reads the epoch-start snapshot and records its draws
+//! and deltas for the boundary settlement (see the crate's `epoch` module);
+//! both are refreshed in place at every boundary. All randomness is drawn
+//! from per-function streams derived independently from the run seed and
+//! the function's table index, and all public ids (pods, requests) are
+//! minted from per-function counters tagged with the table index. Committed
+//! output bytes depend on all three choices.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -37,14 +31,14 @@ use fntrace::{
 
 use crate::arena::{FnIdx, PodArena, PodIdx};
 use crate::config::PlatformConfig;
+use crate::epoch::{EpochDelta, EpochLedger, EpochSnapshot};
 use crate::event::{Event, EventQueue};
 use crate::keepalive::{FunctionHistory, KeepAlivePolicy};
 use crate::node::{LayerKey, PullRecord};
 use crate::pod::{Pod, PodState};
 use crate::policy::{FunctionView, PlatformView};
 use crate::pool::PoolAcquire;
-use crate::report::{ComponentTotals, FunctionStats, SimReport};
-use crate::shard::{EpochSnapshot, EpochSync, FnAccum, ShardDelta, ShardOutcome};
+use crate::report::{ComponentTotals, FunctionStats, LatencyStats, SimReport};
 
 /// Hasher for the arrival-path `FunctionId -> FnIdx` map.
 ///
@@ -87,37 +81,49 @@ type FnIndexMap = HashMap<FunctionId, FnIdx, BuildHasherDefault<FnIdHasher>>;
 /// Derives the simulation RNG stream of one function.
 ///
 /// Streams are derived *independently* — run seed mixed with the function's
-/// global table index — rather than forked from a parent stream, because a
-/// fork advances the parent: any scheme with a sequential parent would make
-/// a function's randomness depend on which functions came before it, and
-/// therefore on the sharding.
-fn fn_rng(seed: u64, global_idx: u32) -> Xoshiro256pp {
-    Xoshiro256pp::seed_from_u64((seed ^ 0x5151_5151) ^ splitmix_mix(u64::from(global_idx)))
+/// table index — rather than forked from a parent stream in table order.
+/// Committed output bytes depend on this derivation.
+fn fn_rng(seed: u64, table_idx: u32) -> Xoshiro256pp {
+    Xoshiro256pp::seed_from_u64((seed ^ 0x5151_5151) ^ splitmix_mix(u64::from(table_idx)))
 }
 
-/// Mutable state of one shard of one in-flight simulation run.
+/// Per-function floating-point accumulators.
 ///
-/// Everything here is owned by a single shard of a single run; the engine
-/// constructs one `SimState` per shard and consumes it into a
-/// `ShardOutcome`, which the merge in [`crate::shard`] folds into the
-/// final report.
+/// Kept per function and folded in table order when the report is built:
+/// committed `f64` output bytes depend on that summation order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FnAccum {
+    pub pod_lifetime_s: f64,
+    pub idle_pod_time_s: f64,
+    pub mem_gb_s_wasted: f64,
+    pub added_latency_s: f64,
+    pub admission_delay_s: f64,
+    /// Per-component cold-start attribution, microseconds (exact sums).
+    pub cold: ComponentTotals,
+    /// Total charged cold-start latency, microseconds, accumulated
+    /// independently of `cold` so the components-sum invariant is a real
+    /// cross-check rather than a tautology.
+    pub cold_us: u64,
+}
+
+/// Mutable state of one in-flight simulation run.
+///
+/// The engine constructs one `SimState` per run and turns it into the
+/// final report once the last boundary is settled.
 pub struct SimState<'a> {
     pub(crate) workload: &'a WorkloadSpec,
     pub(crate) config: PlatformConfig,
-    /// Global (workload-table) index of each member, ascending; maps the
-    /// local [`FnIdx`] back to the dense table position.
-    pub(crate) members: Vec<u32>,
-    /// Function specs by local member position.
+    /// Function specs by table index.
     pub(crate) specs: Vec<&'a FunctionSpec>,
-    /// Resolves a hashed function id to its local index; consulted once per
+    /// Resolves a hashed function id to its table index; consulted once per
     /// external arrival, never on internal events.
     pub(crate) fn_index: FnIndexMap,
-    /// The functions of the pre-warm view, one per member in member order,
-    /// each resolved through `fn_index` once (so a duplicate id names the
-    /// later entry every time it appears).
+    /// The functions of the pre-warm view, one per table entry in table
+    /// order, each resolved through `fn_index` once (so a duplicate id names
+    /// the later entry every time it appears).
     pub(crate) view_order: Vec<FnIdx>,
     pub(crate) latency_model: ColdStartLatencyModel,
-    /// Per-member simulation RNG streams (see [`fn_rng`]).
+    /// Per-function simulation RNG streams (see [`fn_rng`]).
     pub(crate) fn_rngs: Vec<Xoshiro256pp>,
     pub(crate) queue: EventQueue,
     pub(crate) pods: PodArena,
@@ -127,30 +133,32 @@ pub struct SimState<'a> {
     /// reference them); cold path, keyed by public id.
     pub(crate) extra_histories: HashMap<FunctionId, FunctionHistory>,
     pub(crate) recent_arrivals: Vec<u64>,
-    /// Per-member pod-id counters; public pod ids are
-    /// `(region << 48) | (global_idx << 26) | counter`, so they are unique
-    /// across shards and independent of creation interleaving.
+    /// Per-function pod-id counters; public pod ids are
+    /// `(region << 48) | (table_idx << 26) | counter`, independent of arena
+    /// slot reuse and of how pod creations interleave across functions.
     pub(crate) pod_counters: Vec<u32>,
-    /// Per-member request-id counters (advanced only when tracing); public
-    /// request ids are `((global_idx + 1) << 32) | counter`.
+    /// Per-function request-id counters (advanced only when tracing); public
+    /// request ids are `((table_idx + 1) << 32) | counter`.
     pub(crate) req_counters: Vec<u32>,
     pub(crate) report: SimReport,
     pub(crate) cold_latencies_s: Vec<f64>,
-    /// Per-member floating-point accumulators, folded in global table order
-    /// at the merge.
+    /// Per-function floating-point accumulators, folded in table order into
+    /// the report.
     pub(crate) accum: Vec<FnAccum>,
     pub(crate) trace: Option<RegionTrace>,
+    /// The authoritative shared capacity, settled at each epoch boundary.
+    pub(crate) ledger: EpochLedger,
     /// Shared capacity as of the last epoch boundary.
     pub(crate) snapshot: EpochSnapshot,
-    /// This epoch's contribution to shared capacity: pool draws, net
-    /// in-flight change per cluster and, with the node model on, net
-    /// live-pod change per node and the layer pulls started.
-    pub(crate) delta: ShardDelta,
-    /// Per-member draw budget bookkeeping: `draw_marks[i] == epoch` means
+    /// This epoch's effect on shared capacity: pool draws, net in-flight
+    /// change per cluster and, with the node model on, net live-pod change
+    /// per node and the layer pulls started.
+    pub(crate) delta: EpochDelta,
+    /// Per-function draw budget bookkeeping: `draw_marks[i] == epoch` means
     /// `draw_counts[i]` is current, anything else means zero draws so far.
     pub(crate) draw_marks: Vec<u32>,
     pub(crate) draw_counts: Vec<u32>,
-    /// Per-member epoch stamp for `fn_node_use`, mirroring `draw_marks`.
+    /// Per-function epoch stamp for `fn_node_use`, mirroring `draw_marks`.
     pub(crate) node_marks: Vec<u32>,
     /// A function's *own* node activity this epoch: placements count toward
     /// the load it sees, and its own pulls read as cache hits immediately.
@@ -170,30 +178,15 @@ pub(crate) struct FnNodeUse {
 }
 
 impl<'a> SimState<'a> {
-    /// Builds fresh state for one shard of one run: the members of the shard
-    /// (ascending global indices into the workload table) and the initial
-    /// shared-capacity snapshot.
-    pub(crate) fn new(
-        workload: &'a WorkloadSpec,
-        config: &PlatformConfig,
-        seed: u64,
-        members: Vec<u32>,
-        snapshot: EpochSnapshot,
-    ) -> Self {
-        let n = members.len();
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        let mut specs = Vec::with_capacity(n);
-        let mut fn_rngs = Vec::with_capacity(n);
+    /// Builds fresh state for one run over the whole workload table.
+    pub(crate) fn new(workload: &'a WorkloadSpec, config: &PlatformConfig, seed: u64) -> Self {
+        let n = workload.functions.len();
+        let specs: Vec<&FunctionSpec> = workload.functions.iter().collect();
+        let fn_rngs = (0..n as u32).map(|i| fn_rng(seed, i)).collect();
         let mut fn_index = FnIndexMap::with_capacity_and_hasher(n, Default::default());
-        for (local, &global) in members.iter().enumerate() {
-            let spec = &workload.functions[global as usize];
-            specs.push(spec);
-            fn_rngs.push(fn_rng(seed, global));
-            // On duplicate ids the later entry wins, matching the previous
-            // map-keyed table; duplicates are co-sharded (see
-            // `faas_workload::ShardPlan`), so the winner is the same
-            // whatever the shard count.
-            fn_index.insert(spec.function, FnIdx::new(local as u32));
+        for (i, spec) in specs.iter().enumerate() {
+            // On duplicate ids the later entry wins.
+            fn_index.insert(spec.function, FnIdx::new(i as u32));
         }
         let view_order = specs.iter().map(|spec| fn_index[&spec.function]).collect();
         let trace = if config.record_trace {
@@ -211,11 +204,12 @@ impl<'a> SimState<'a> {
         } else {
             None
         };
-        let delta = ShardDelta::zeroed(&snapshot);
+        let ledger = EpochLedger::new(config);
+        let snapshot = ledger.snapshot();
+        let delta = EpochDelta::zeroed(&snapshot);
         Self {
             workload,
             config: config.clone(),
-            members,
             specs,
             fn_index,
             view_order,
@@ -233,6 +227,7 @@ impl<'a> SimState<'a> {
             cold_latencies_s: Vec::new(),
             accum: vec![FnAccum::default(); n],
             trace,
+            ledger,
             snapshot,
             delta,
             draw_marks: vec![0; n],
@@ -243,8 +238,8 @@ impl<'a> SimState<'a> {
         }
     }
 
-    /// Resolves a public function id to its local index, if the function is
-    /// a member of this shard. The one hash lookup on the arrival path.
+    /// Resolves a public function id to its table index, if the function is
+    /// in the workload table. The one hash lookup on the arrival path.
     pub(crate) fn resolve(&self, function: FunctionId) -> Option<FnIdx> {
         self.fn_index.get(&function).copied()
     }
@@ -266,14 +261,15 @@ impl<'a> SimState<'a> {
         self.recent_arrivals.fill(0);
     }
 
-    /// Settles the epoch ending at `boundary_ms`: posts this shard's delta
-    /// through `sync`, which refreshes the snapshot in place, zeroes the
-    /// delta, and opens the next epoch (lazily invalidating every member's
-    /// pool-draw budget via the epoch stamp).
-    pub(crate) fn settle_epoch(&mut self, boundary_ms: u64, sync: &mut dyn EpochSync) {
-        self.delta.live_pods = u64::from(self.pods.live());
-        sync.reconcile(boundary_ms, &self.delta, &mut self.snapshot);
-        self.delta.reset();
+    /// Settles the epoch ending at `boundary_ms`: the ledger applies and
+    /// zeroes the delta, the snapshot is refreshed in place, and the next
+    /// epoch opens (lazily invalidating every function's pool-draw budget
+    /// via the epoch stamp).
+    pub(crate) fn settle_epoch(&mut self, boundary_ms: u64) {
+        let live_pods = u64::from(self.pods.live());
+        self.ledger
+            .reconcile(boundary_ms, &mut self.delta, live_pods);
+        self.ledger.refresh(&mut self.snapshot);
         self.epoch += 1;
     }
 
@@ -281,10 +277,9 @@ impl<'a> SimState<'a> {
     ///
     /// A draw succeeds while the function's own draws this epoch are below
     /// the snapshot's idle count for its configuration. Draws by *other*
-    /// functions (on this or any other shard) are invisible until the next
-    /// boundary — that independence is the documented epoch-granularity
-    /// approximation, and the reason the decision cannot depend on the
-    /// sharding. The ledger clamps any aggregate oversubscription when the
+    /// functions are invisible until the next boundary — the documented
+    /// epoch-granularity approximation, on which committed output bytes
+    /// depend. The ledger clamps any aggregate oversubscription when the
     /// draws settle.
     fn try_draw(
         &mut self,
@@ -329,8 +324,8 @@ impl<'a> SimState<'a> {
     }
 
     /// Refills `view` as the platform-wide view for the pre-warm policy:
-    /// the shard's member functions (in ascending global-table order) plus
-    /// shared totals from the epoch-start snapshot. Platform totals are
+    /// every function in table order plus shared totals from the
+    /// epoch-start snapshot. Platform totals are
     /// epoch-stale by design; per-function fields are live. The view's
     /// function vector is reused.
     pub(crate) fn fill_platform_view(&self, now_ms: u64, view: &mut PlatformView) {
@@ -350,8 +345,7 @@ impl<'a> SimState<'a> {
         // With the node model on, the placement policy picks a node and the
         // pod's cluster is the node's; otherwise clusters are placed
         // directly as before. Placement reads only the epoch-start snapshot
-        // plus the function's own placements this epoch, so it cannot
-        // depend on the sharding.
+        // plus the function's own placements this epoch.
         let (cluster, node) = match self.snapshot.nodes.as_ref() {
             Some(nodes) => {
                 let i = function.index();
@@ -427,14 +421,13 @@ impl<'a> SimState<'a> {
         }
 
         // Public pod ids are minted from a per-function never-reused counter
-        // tagged with the function's global index, so they are unique across
-        // shards, independent of arena slot recycling, and independent of
-        // how pod creations interleave across functions.
+        // tagged with the function's table index, so they are independent of
+        // arena slot recycling and of how pod creations interleave across
+        // functions.
         self.pod_counters[function.index()] += 1;
-        let global = u64::from(self.members[function.index()]);
         let pod_id = PodId::new(
             (u64::from(self.workload.region.index()) << 48)
-                | (global << 26)
+                | ((function.index() as u64) << 26)
                 | u64::from(self.pod_counters[function.index()]),
         );
         let mut pod = Pod::new(
@@ -457,7 +450,7 @@ impl<'a> SimState<'a> {
             acc.added_latency_s += components.total_secs();
             // Exact integer attribution: `cold` sums the components, while
             // `cold_us` sums each cold start's total independently, so the
-            // merge-level components-sum invariant is a real cross-check.
+            // report's components-sum invariant is a real cross-check.
             acc.cold.add(&ComponentTotals {
                 pod_alloc_us: components.pod_alloc_us,
                 deploy_code_us: components.deploy_code_us,
@@ -537,7 +530,6 @@ impl<'a> SimState<'a> {
 
         if let Some(trace) = self.trace.as_mut() {
             self.req_counters[function.index()] += 1;
-            let global = u64::from(self.members[function.index()]);
             let rng = &mut self.fn_rngs[function.index()];
             let cpu = (spec.cpu_millicores * (0.3 * rng.standard_normal()).exp())
                 .clamp(5.0, spec.config.millicores as f64);
@@ -549,7 +541,8 @@ impl<'a> SimState<'a> {
                 function: spec.function,
                 user: spec.user,
                 request: RequestId::new(
-                    ((global + 1) << 32) | u64::from(self.req_counters[function.index()]),
+                    ((function.index() as u64 + 1) << 32)
+                        | u64::from(self.req_counters[function.index()]),
                 ),
                 execution_time_us: (exec_secs * 1e6) as u64,
                 cpu_usage_millicores: cpu,
@@ -643,12 +636,35 @@ impl<'a> SimState<'a> {
         );
     }
 
-    /// Consumes the shard's state into the pieces the cross-shard merge
-    /// needs (see [`crate::shard::merge_outcomes`]). Per-function replay
-    /// statistics are left unsorted here; the merge sorts the combined set.
-    pub(crate) fn into_outcome(self) -> ShardOutcome {
-        let per_function: Vec<FunctionStats> = if self.workload.is_replay() {
-            self.histories
+    /// Consumes the state after the final boundary into the run's report
+    /// and trace. `names` are the keep-alive, pre-warm, and admission
+    /// policy names.
+    pub(crate) fn into_report(self, names: [String; 3]) -> (SimReport, Option<RegionTrace>) {
+        let mut report = self.report;
+        let mut added_latency_s = 0.0;
+        for acc in &self.accum {
+            report.pod_lifetime_s += acc.pod_lifetime_s;
+            report.idle_pod_time_s += acc.idle_pod_time_s;
+            report.mem_gb_s_wasted += acc.mem_gb_s_wasted;
+            report.total_admission_delay_s += acc.admission_delay_s;
+            added_latency_s += acc.added_latency_s;
+            report.cold_components.add(&acc.cold);
+            report.cold_us_total += acc.cold_us;
+        }
+        report.cold_start_latency = LatencyStats::from_secs(&self.cold_latencies_s);
+        report.mean_added_latency_s = if report.requests == 0 {
+            0.0
+        } else {
+            added_latency_s / report.requests as f64
+        };
+
+        let (pools, peak_live_pods) = self.ledger.into_parts();
+        report.peak_live_pods = u32::try_from(peak_live_pods).unwrap_or(u32::MAX);
+        report.mem_gb_s_wasted += pools.mem_gb_s();
+
+        if self.workload.is_replay() {
+            let mut per_function: Vec<FunctionStats> = self
+                .histories
                 .iter()
                 .enumerate()
                 .filter(|(_, h)| h.arrivals > 0 || h.cold_starts > 0)
@@ -671,17 +687,20 @@ impl<'a> SimState<'a> {
                             components: ComponentTotals::default(),
                         }),
                 )
-                .collect()
-        } else {
-            Vec::new()
-        };
-        ShardOutcome {
-            report: self.report,
-            members: self.members,
-            accum: self.accum,
-            cold_latencies_s: self.cold_latencies_s,
-            per_function,
-            trace: self.trace,
+                .collect();
+            per_function.sort_by_key(|f| f.function);
+            report.per_function = per_function;
         }
+
+        let [keep_alive, prewarm, admission] = names;
+        report.keep_alive_policy = keep_alive;
+        report.prewarm_policy = prewarm;
+        report.admission_policy = admission;
+
+        let mut trace = self.trace;
+        if let Some(t) = trace.as_mut() {
+            t.sort_by_time();
+        }
+        (report, trace)
     }
 }

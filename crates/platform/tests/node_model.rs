@@ -1,13 +1,13 @@
-//! Node-model invariants: shard-count determinism of node/cache state and
-//! exact per-component cold-start attribution.
+//! Node-model invariants: deterministic node/cache state and exact
+//! per-component cold-start attribution.
 //!
 //! Two contracts from the node layer's design (see `faas_platform::node` and
 //! ARCHITECTURE.md):
 //!
 //! 1. With the node model enabled — any placement policy, any scenario
-//!    preset — `run_sharded(n)` must reproduce `run_streamed` byte for byte
-//!    for shard counts 1 through 8: placement, cache hits, and pull
-//!    contention are all epoch-quantized functions of seeded state.
+//!    preset — two runs of one spec over one stream give the same report
+//!    and trace: placement, cache hits, and pull contention are all
+//!    epoch-quantized functions of seeded state.
 //! 2. The per-component attribution block is exact: the integer component
 //!    sums in `SimReport.cold_components` always equal the independently
 //!    accumulated `cold_us_total`, and every traced cold-start record's
@@ -19,7 +19,6 @@ use faas_platform::{
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::stream::StreamedWorkload;
-use faas_workload::ShardPlan;
 use fntrace::RegionTrace;
 use proptest::prelude::*;
 
@@ -62,23 +61,23 @@ fn assert_components_exact(report: &SimReport, trace: &Option<RegionTrace>) {
     }
 }
 
-fn assert_node_shard_invariant(spec: &SimulationSpec, streamed: &StreamedWorkload) {
+/// Runs one engine twice over the same stream: the report and trace must
+/// repeat exactly, attribute components exactly, and show layer traffic.
+fn assert_node_run_exact(spec: &SimulationSpec, streamed: &StreamedWorkload) {
     let header = streamed.header();
-    let (base_report, base_trace) = spec.run_streamed(header, streamed.stream());
-    assert_components_exact(&base_report, &base_trace);
-    for shards in 1..=8u32 {
-        let plan = ShardPlan::new(&header.functions, shards);
-        let streams: Vec<_> = (0..plan.shards())
-            .map(|s| streamed.stream_shard(&plan, s))
-            .collect();
-        let (report, trace) = spec.run_sharded(header, &plan, streams);
-        assert_eq!(report, base_report, "report diverged at shards={shards}");
-        assert_eq!(trace, base_trace, "trace diverged at shards={shards}");
-    }
+    let (report, trace) = spec.run_streamed(header, streamed.stream());
+    assert_components_exact(&report, &trace);
+    assert!(report.layer_pulls > 0, "the node model must pull layers");
+    let (again, again_trace) = spec.run_streamed(header, streamed.stream());
+    assert_eq!(report, again, "the same spec and stream gave two reports");
+    assert_eq!(
+        trace, again_trace,
+        "the same spec and stream gave two traces"
+    );
 }
 
 #[test]
-fn every_placement_policy_is_shard_count_invariant() {
+fn every_placement_policy_runs_exactly() {
     for (i, placement) in PlacementPolicy::ALL.into_iter().enumerate() {
         let streamed = streamed_workload(21 + i as u64, 14);
         let config = PlatformConfig {
@@ -91,24 +90,24 @@ fn every_placement_policy_is_shard_count_invariant() {
         let spec = SimulationSpec::new()
             .with_seed(31 + i as u64)
             .with_config(config);
-        assert_node_shard_invariant(&spec, &streamed);
+        assert_node_run_exact(&spec, &streamed);
     }
 }
 
 #[test]
-fn every_node_scenario_is_shard_count_invariant() {
+fn every_node_scenario_runs_exactly() {
     for (i, scenario) in NodeScenario::ALL.into_iter().enumerate() {
         let streamed = streamed_workload(41 + i as u64, 12);
         let config = scenario.platform(&PlatformConfig::default());
         let spec = SimulationSpec::new()
             .with_seed(51 + i as u64)
             .with_config(config);
-        assert_node_shard_invariant(&spec, &streamed);
+        assert_node_run_exact(&spec, &streamed);
     }
 }
 
 #[test]
-fn rolling_deploy_in_horizon_invalidates_under_sharding() {
+fn rolling_deploy_in_horizon_runs_exactly() {
     // The stock RollingDeploy preset redeploys at six hours; also pin an
     // aggressive variant whose deploy lands mid-epoch early in the run so
     // the rolling invalidation overlaps live pull traffic.
@@ -120,7 +119,7 @@ fn rolling_deploy_in_horizon_invalidates_under_sharding() {
         ..PlatformConfig::default()
     };
     let spec = SimulationSpec::new().with_seed(62).with_config(config);
-    assert_node_shard_invariant(&spec, &streamed);
+    assert_node_run_exact(&spec, &streamed);
 }
 
 #[test]
@@ -128,7 +127,7 @@ fn short_epochs_with_node_contention_stay_invariant() {
     let streamed = streamed_workload(63, 10);
     // Tiny caches plus 5-second epochs: pressure and cache churn settle at
     // every boundary, maximising the chances of catching an order-dependent
-    // merge.
+    // settlement.
     let mut node = NodeScenario::CacheColdFailover.node_config();
     node.classes_per_cluster[0].0.cache_layers = 2;
     let config = PlatformConfig {
@@ -137,7 +136,7 @@ fn short_epochs_with_node_contention_stay_invariant() {
         ..PlatformConfig::default()
     };
     let spec = SimulationSpec::new().with_seed(64).with_config(config);
-    assert_node_shard_invariant(&spec, &streamed);
+    assert_node_run_exact(&spec, &streamed);
 }
 
 #[test]

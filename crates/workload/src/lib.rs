@@ -39,13 +39,10 @@
 //! abstraction and the per-function k-way merge behind it, so arbitrarily
 //! long horizons generate lazily in memory proportional to the function
 //! population — [`simio::WorkloadSpec::from_population`] is simply that
-//! stream collected. For intra-cell parallel simulation, [`shard`] builds a
-//! [`shard::ShardPlan`] that deterministically partitions a function table
-//! (co-sharding workflow chains and duplicate ids) so disjoint per-shard
-//! streams ([`stream::StreamedWorkload::stream_shard`],
-//! [`stream::ShardedStream`]) replay the exact same arrivals the unsharded
-//! stream would — the workload-side half of the platform's
-//! shard-count-invariance contract (see `ARCHITECTURE.md`).
+//! stream collected. Each function's arrivals come from its own RNG, forked
+//! from the workload seed in table order, and the merge breaks timestamp
+//! ties by function id and then table index, so a stream replays the same
+//! sequence on every call (see `ARCHITECTURE.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +53,6 @@ pub mod population;
 pub mod presets;
 pub mod profile;
 pub mod replay;
-pub mod shard;
 pub mod simio;
 pub mod stream;
 pub mod synth;
@@ -70,9 +66,6 @@ pub use replay::{
     DiskReplayStream, ReplayStatsBuilder, StreamedTraceDir, TraceReplayWorkload, TraceStreamError,
     WindowedReplayOrder, DEFAULT_REPLAY_WINDOW_MS,
 };
-pub use shard::ShardPlan;
 pub use simio::{WorkloadEvent, WorkloadSource, WorkloadSpec};
-pub use stream::{
-    ArrivalStream, ShardedStream, SliceStream, SpecStream, StreamedWorkload, SyntheticStream,
-};
+pub use stream::{ArrivalStream, SliceStream, SpecStream, StreamedWorkload, SyntheticStream};
 pub use synth::{SyntheticTraceBuilder, TraceScale};

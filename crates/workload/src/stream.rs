@@ -72,7 +72,6 @@ use fntrace::{RegionTrace, TriggerType, MILLIS_PER_HOUR};
 use crate::arrivals::ArrivalGenerator;
 use crate::population::{FunctionPopulation, FunctionSpec, PopulationConfig};
 use crate::profile::{Calibration, RegionProfile};
-use crate::shard::ShardPlan;
 use crate::simio::{WorkloadEvent, WorkloadSource, WorkloadSpec};
 
 /// An ordered, possibly-unbounded source of invocation events.
@@ -363,14 +362,11 @@ impl ArrivalStream for FunctionEventStream<'_> {
 pub struct SyntheticStream {
     generator: Arc<ArrivalGenerator>,
     functions: Arc<Vec<FunctionSpec>>,
-    /// Dense table indices this stream generates, ascending — the whole
-    /// table for the unsharded stream, one shard's slice otherwise.
-    /// `states` is parallel to this list.
-    members: Vec<u32>,
+    /// Arrival state per function, parallel to `functions`.
     states: Vec<FnState>,
-    /// Min-heap of `(timestamp, function id, member position)`; the id keeps
+    /// Min-heap of `(timestamp, function id, table index)`; the id keeps
     /// the pop order identical to the materialised `(timestamp, function)`
-    /// sort, and the position makes it total even for duplicate ids.
+    /// sort, and the index makes it total even for duplicate ids.
     heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
 }
 
@@ -382,48 +378,19 @@ impl SyntheticStream {
         functions: Arc<Vec<FunctionSpec>>,
         rng: &mut Xoshiro256pp,
     ) -> Self {
-        let members = (0..functions.len() as u32).collect();
-        Self::with_members(generator, functions, rng, members)
-    }
-
-    /// Builds the merge over a subset of the function table.
-    ///
-    /// `members` holds the dense table indices to generate, ascending. The
-    /// RNG is forked once per function **in declaration order for the whole
-    /// table**, members or not, so every function's arrival sequence is
-    /// byte-identical no matter how the table is partitioned — the sharded
-    /// streams of a [`crate::shard::ShardPlan`] interleave back into exactly
-    /// the unsharded sequence.
-    pub fn with_members(
-        generator: Arc<ArrivalGenerator>,
-        functions: Arc<Vec<FunctionSpec>>,
-        rng: &mut Xoshiro256pp,
-        members: Vec<u32>,
-    ) -> Self {
-        debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(members.iter().all(|&i| (i as usize) < functions.len()));
-        let mut states = Vec::with_capacity(members.len());
-        let mut next_member = 0usize;
-        for (i, spec) in functions.iter().enumerate() {
-            // Fork unconditionally: skipped functions must advance the
-            // parent RNG exactly as if they were generated here.
-            let forked = rng.fork(spec.function.raw());
-            if next_member < members.len() && members[next_member] as usize == i {
-                states.push(FnState::new(spec, forked));
-                next_member += 1;
-            }
-        }
+        let mut states: Vec<FnState> = functions
+            .iter()
+            .map(|spec| FnState::new(spec, rng.fork(spec.function.raw())))
+            .collect();
         let mut heap = BinaryHeap::with_capacity(states.len());
-        for (pos, state) in states.iter_mut().enumerate() {
-            let spec = &functions[members[pos] as usize];
+        for (i, (state, spec)) in states.iter_mut().zip(functions.iter()).enumerate() {
             if let Some(t) = state.next_timestamp(&generator, spec) {
-                heap.push(Reverse((t, spec.function.raw(), pos)));
+                heap.push(Reverse((t, spec.function.raw(), i)));
             }
         }
         Self {
             generator,
             functions,
-            members,
             states,
             heap,
         }
@@ -439,10 +406,10 @@ impl Iterator for SyntheticStream {
     type Item = WorkloadEvent;
 
     fn next(&mut self) -> Option<WorkloadEvent> {
-        let Reverse((timestamp_ms, raw, pos)) = self.heap.pop()?;
-        let spec = &self.functions[self.members[pos] as usize];
-        if let Some(t) = self.states[pos].next_timestamp(&self.generator, spec) {
-            self.heap.push(Reverse((t, raw, pos)));
+        let Reverse((timestamp_ms, raw, i)) = self.heap.pop()?;
+        let spec = &self.functions[i];
+        if let Some(t) = self.states[i].next_timestamp(&self.generator, spec) {
+            self.heap.push(Reverse((t, raw, i)));
         }
         Some(WorkloadEvent {
             timestamp_ms,
@@ -454,45 +421,6 @@ impl Iterator for SyntheticStream {
 impl ArrivalStream for SyntheticStream {
     fn horizon_ms(&self) -> u64 {
         self.generator.calibration().duration_ms()
-    }
-}
-
-/// A filter adapter that keeps only the events routed to one shard.
-///
-/// This is the generic way to shard an arbitrary stream (materialised specs,
-/// replay traces): the inner stream is consumed whole and events whose
-/// function the [`ShardPlan`] routes elsewhere are dropped. Order within the
-/// shard is the inner stream's order, so the union of the `n` sharded
-/// streams interleaved by `(timestamp, function)` reproduces the inner
-/// sequence exactly. Generative sources should prefer
-/// [`SyntheticStream::with_members`], which skips the discarded events
-/// instead of generating them.
-pub struct ShardedStream<S> {
-    inner: S,
-    plan: Arc<ShardPlan>,
-    shard: u32,
-}
-
-impl<S: ArrivalStream> ShardedStream<S> {
-    /// Wraps `inner`, keeping only events the plan routes to `shard`.
-    pub fn new(inner: S, plan: Arc<ShardPlan>, shard: u32) -> Self {
-        Self { inner, plan, shard }
-    }
-}
-
-impl<S: ArrivalStream> Iterator for ShardedStream<S> {
-    type Item = WorkloadEvent;
-
-    fn next(&mut self) -> Option<WorkloadEvent> {
-        self.inner
-            .by_ref()
-            .find(|&event| self.plan.route(event.function) == self.shard)
-    }
-}
-
-impl<S: ArrivalStream> ArrivalStream for ShardedStream<S> {
-    fn horizon_ms(&self) -> u64 {
-        self.inner.horizon_ms()
     }
 }
 
@@ -640,32 +568,6 @@ impl StreamedWorkload {
         )
     }
 
-    /// A fresh stream of one shard's slice of the workload's events.
-    ///
-    /// The plan must cover this workload's function table. The returned
-    /// stream yields exactly the subsequence of [`stream`](Self::stream)
-    /// whose functions the plan assigns to `shard`; the `n` shard streams
-    /// together partition the full sequence.
-    pub fn stream_shard(&self, plan: &ShardPlan, shard: u32) -> SyntheticStream {
-        assert_eq!(
-            plan.functions(),
-            self.functions.len(),
-            "shard plan built for a different function table"
-        );
-        let members = plan
-            .member_indices(shard)
-            .into_iter()
-            .map(|i| i as u32)
-            .collect();
-        let mut rng = self.arrival_rng.clone();
-        SyntheticStream::with_members(
-            Arc::clone(&self.generator),
-            Arc::clone(&self.functions),
-            &mut rng,
-            members,
-        )
-    }
-
     /// Collects the stream into a complete [`WorkloadSpec`].
     pub fn materialize(&self) -> WorkloadSpec {
         WorkloadSpec {
@@ -804,59 +706,6 @@ mod tests {
         let events: Vec<WorkloadEvent> = stream.collect();
         assert_eq!(events, workload.events);
         assert!(sorted_by_key(&events));
-    }
-
-    #[test]
-    fn shard_streams_partition_the_full_sequence() {
-        let streamed =
-            StreamedWorkload::generate(&RegionProfile::r2(), two_days(), &tiny_config(), 13);
-        let full: Vec<WorkloadEvent> = streamed.stream().collect();
-        for shards in [1u32, 2, 3, 5] {
-            let plan = ShardPlan::new(&streamed.header().functions, shards);
-            let mut merged: Vec<WorkloadEvent> = Vec::new();
-            let mut total = 0usize;
-            let mut parts: Vec<Vec<WorkloadEvent>> = Vec::new();
-            for s in 0..shards {
-                let part: Vec<WorkloadEvent> = streamed.stream_shard(&plan, s).collect();
-                assert!(part.iter().all(|e| plan.route(e.function) == s));
-                assert!(sorted_by_key(&part));
-                total += part.len();
-                parts.push(part);
-            }
-            assert_eq!(total, full.len());
-            // Interleaving the shard streams by (timestamp, function)
-            // reproduces the unsharded sequence exactly.
-            let mut cursors = vec![0usize; parts.len()];
-            while merged.len() < full.len() {
-                let (s, _) = parts
-                    .iter()
-                    .enumerate()
-                    .filter(|(s, p)| cursors[*s] < p.len())
-                    .min_by_key(|(s, p)| {
-                        let e = p[cursors[*s]];
-                        (e.timestamp_ms, e.function.raw())
-                    })
-                    .expect("events remain");
-                merged.push(parts[s][cursors[s]]);
-                cursors[s] += 1;
-            }
-            assert_eq!(merged, full);
-        }
-    }
-
-    #[test]
-    fn sharded_filter_stream_equals_partitioned_generation() {
-        let streamed =
-            StreamedWorkload::generate(&RegionProfile::r3(), two_days(), &tiny_config(), 4);
-        let plan = Arc::new(ShardPlan::new(&streamed.header().functions, 3));
-        for s in 0..3 {
-            let generated: Vec<WorkloadEvent> = streamed.stream_shard(&plan, s).collect();
-            let filtered: Vec<WorkloadEvent> =
-                ShardedStream::new(streamed.stream(), Arc::clone(&plan), s).collect();
-            assert_eq!(generated, filtered, "shard {s}");
-        }
-        let filtered = ShardedStream::new(streamed.stream(), Arc::clone(&plan), 1);
-        assert_eq!(filtered.horizon_ms(), streamed.stream().horizon_ms());
     }
 
     #[test]

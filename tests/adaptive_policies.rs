@@ -1,14 +1,14 @@
-//! Shard-count invariance and behavioural properties of the adaptive
-//! (autonomic) policy layer.
+//! Determinism and behavioural properties of the adaptive (autonomic)
+//! policy layer.
 //!
 //! The three adaptive policies — quantile keep-alive, forecast-driven
-//! pre-warming, and the hybrid per-function switcher — keep per-function
-//! state only, so `run_sharded` must reproduce `run_streamed` byte for byte
-//! under every one of them. This suite pins that contract at shard counts
-//! 1 through 8 for each mode, driving the policies through the same
+//! pre-warming, and the hybrid per-function switcher — are built fresh for
+//! every run, so two runs of one spec over one stream must give the same
+//! report and trace, with cold-start components that sum exactly. This
+//! suite pins that for each mode, driving the policies through the same
 //! [`SweepConfig`] factory the parameter sweep uses, and adds a
-//! property-based sweep over seeds, populations, shard counts, and modes
-//! (pinned in CI with a fixed `PROPTEST_CASES` budget).
+//! property-based sweep over seeds, populations, and modes (pinned in CI
+//! with a fixed `PROPTEST_CASES` budget).
 
 use std::sync::Arc;
 
@@ -17,14 +17,13 @@ use faas_platform::SimulationSpec;
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::stream::StreamedWorkload;
-use faas_workload::ShardPlan;
 use proptest::prelude::*;
 
 const MODES: [&str; 3] = ["quantile", "forecast", "hybrid"];
 
 /// The sweep point for one adaptive mode — the exact factory a sweep cell
-/// would use, so the invariance pinned here is the invariance the committed
-/// BENCH_sweep.json numbers rely on.
+/// would use, so the determinism pinned here is the determinism the
+/// committed BENCH_sweep.json numbers rely on.
 fn adaptive_point(mode: &'static str) -> SweepConfig {
     SweepConfig::new(
         PolicyFamily::Adaptive,
@@ -54,52 +53,54 @@ fn streamed_workload(seed: u64, min_functions: usize) -> StreamedWorkload {
     )
 }
 
-/// Runs the unsharded baseline once and asserts every sharded run over the
-/// same workload reproduces its report and trace exactly.
-fn assert_shard_invariant(
-    spec: &SimulationSpec,
-    streamed: &StreamedWorkload,
-    shard_counts: &[u32],
-) {
+/// Runs one engine twice over the same stream: the report and trace must
+/// repeat exactly, and the charged cold-start components must sum exactly
+/// to the total, in the report and in every traced record.
+fn assert_run_exact(spec: &SimulationSpec, streamed: &StreamedWorkload) {
     let header = streamed.header();
-    let (base_report, base_trace) = spec.run_streamed(header, streamed.stream());
-    assert!(base_report.requests > 0, "workload must exercise the run");
-    for &shards in shard_counts {
-        let plan = ShardPlan::new(&header.functions, shards);
-        let streams: Vec<_> = (0..plan.shards())
-            .map(|s| streamed.stream_shard(&plan, s))
-            .collect();
-        let (report, trace) = spec.run_sharded(header, &plan, streams);
-        assert_eq!(report, base_report, "report diverged at shards={shards}");
-        assert_eq!(trace, base_trace, "trace diverged at shards={shards}");
+    let (report, trace) = spec.run_streamed(header, streamed.stream());
+    assert!(report.requests > 0, "workload must exercise the run");
+    assert_eq!(report.cold_components.total_us(), report.cold_us_total);
+    let traced = trace.as_ref().expect("trace recorded by default");
+    let mut sum = 0u64;
+    for cs in traced.cold_starts.records() {
+        assert_eq!(cs.component_sum_us(), cs.cold_start_us);
+        sum += cs.cold_start_us;
     }
+    assert_eq!(sum, report.cold_us_total);
+    let (again, again_trace) = spec.run_streamed(header, streamed.stream());
+    assert_eq!(report, again, "the same spec and stream gave two reports");
+    assert_eq!(
+        trace, again_trace,
+        "the same spec and stream gave two traces"
+    );
 }
 
 #[test]
-fn quantile_keepalive_is_shard_count_invariant_1_through_8() {
+fn quantile_keepalive_runs_exactly() {
     let streamed = streamed_workload(21, 16);
     let spec = SimulationSpec::new()
         .with_seed(3)
         .with_policies(Arc::new(adaptive_point("quantile")));
-    assert_shard_invariant(&spec, &streamed, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_run_exact(&spec, &streamed);
 }
 
 #[test]
-fn forecast_prewarm_is_shard_count_invariant_1_through_8() {
+fn forecast_prewarm_runs_exactly() {
     let streamed = streamed_workload(22, 16);
     let spec = SimulationSpec::new()
         .with_seed(4)
         .with_policies(Arc::new(adaptive_point("forecast")));
-    assert_shard_invariant(&spec, &streamed, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_run_exact(&spec, &streamed);
 }
 
 #[test]
-fn hybrid_switcher_is_shard_count_invariant_1_through_8() {
+fn hybrid_switcher_runs_exactly() {
     let streamed = streamed_workload(23, 16);
     let spec = SimulationSpec::new()
         .with_seed(5)
         .with_policies(Arc::new(adaptive_point("hybrid")));
-    assert_shard_invariant(&spec, &streamed, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_run_exact(&spec, &streamed);
 }
 
 #[test]
@@ -130,24 +131,15 @@ proptest! {
     #![proptest_config(ProptestConfig::default())]
 
     #[test]
-    fn adaptive_policies_hold_the_shard_contract(
+    fn adaptive_policies_run_exactly(
         seed in 0u64..120,
         min_functions in 6usize..18,
-        shards in 2u32..9,
         mode_choice in 0usize..3,
     ) {
         let streamed = streamed_workload(seed, min_functions);
         let spec = SimulationSpec::new()
             .with_seed(seed.wrapping_add(7))
             .with_policies(Arc::new(adaptive_point(MODES[mode_choice])));
-        let header = streamed.header();
-        let (base_report, base_trace) = spec.run_streamed(header, streamed.stream());
-        let plan = ShardPlan::new(&header.functions, shards);
-        let streams: Vec<_> = (0..plan.shards())
-            .map(|s| streamed.stream_shard(&plan, s))
-            .collect();
-        let (report, trace) = spec.run_sharded(header, &plan, streams);
-        prop_assert_eq!(report, base_report);
-        prop_assert_eq!(trace, base_trace);
+        assert_run_exact(&spec, &streamed);
     }
 }
