@@ -23,10 +23,12 @@
 //!
 //! The same contract extends to disk: `--trace-dir DIR` replays an on-disk
 //! CSV fileset (the `RegionTrace::write_csv_dir` layout) through
-//! `TraceReplayWorkload::open_csv_dir`, so peak RSS is bounded by the
-//! function population and the reorder window — not the trace length — while
-//! `--trace-dir DIR --materialize` parses the whole request table into
-//! memory first (the pre-streaming behaviour). `--write-trace DIR` generates
+//! `TraceReplayWorkload::open_csv_dir`, which parses the request CSV once and
+//! replays from a spill file in the OS temporary directory (removed when the
+//! replay is done), so peak RSS is bounded by the function population and
+//! the reorder window — not the trace length — while `--trace-dir DIR
+//! --materialize` parses the whole request table into memory first (the
+//! pre-streaming behaviour). `--write-trace DIR` generates
 //! the multi-day synthetic CSV fileset those modes consume; CI runs it
 //! outside the ceiling, then replays under it.
 
@@ -220,7 +222,16 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let workload = TraceReplayWorkload::new().build(&trace);
+            let workload = match TraceReplayWorkload::new().build(&trace) {
+                Ok(workload) => workload,
+                Err(e) => {
+                    eprintln!(
+                        "longhaul: failed to lower trace from {}: {e}",
+                        dir.display()
+                    );
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "longhaul: materialized {} events ({} MiB event vector)",
                 workload.len(),

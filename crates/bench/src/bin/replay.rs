@@ -13,8 +13,9 @@
 //! scenarios over the replayed events through one
 //! `coldstarts::session::ExperimentSession`. With `--trace-dir` it replays
 //! an on-disk CSV fileset in the public data-release layout instead — opened
-//! through the streaming `TraceDirSource`, so every session cell reads its
-//! events straight from disk instead of materialising the request table.
+//! through the streaming `TraceDirSource`, which parses the request CSV once
+//! and spills it to a temporary file, so every session cell reads its events
+//! from disk instead of materialising the request table.
 //! Chunked streaming runs as a second session over `ChunkSource::split`
 //! windows (which needs the materialised base workload; the primary cells do
 //! not).
@@ -190,9 +191,10 @@ fn main() -> ExitCode {
     ) = match &args.trace_dir {
         Some(dir) => {
             // Stream-first ingestion: one bounded-memory pass validates the
-            // fileset and infers the replay header, a few more finish the
-            // capped medians; each session cell then streams its events
-            // straight from disk.
+            // fileset, infers the replay header and spills the request
+            // stream to a temporary file; a few passes over the spill finish
+            // the capped medians, and each session cell streams its events
+            // from it.
             let region = RegionId::new(args.region);
             let source = match TraceDirSource::open(format!("replay/r{}", args.region), region, dir)
             {
@@ -220,11 +222,17 @@ fn main() -> ExitCode {
                         .with_profile(args.preset.profile(&profile))
                         .with_calibration(args.preset.calibration(args.days.max(1)));
                 }
-                let source = ReplayTraceSource::from_trace_with(
+                let source = match ReplayTraceSource::from_trace_with(
                     format!("replay/r{}", trace.region.index()),
                     &builder,
                     &trace,
-                );
+                ) {
+                    Ok(source) => source,
+                    Err(e) => {
+                        eprintln!("failed to lower the recorded trace: {e}");
+                        return ExitCode::FAILURE;
+                    }
+                };
                 let counts = TraceCounts {
                     requests: trace.requests.len() as u64,
                     cold_starts: trace.cold_starts.len() as u64,

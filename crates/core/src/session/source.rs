@@ -297,8 +297,12 @@ impl ReplayTraceSource {
         }
     }
 
-    /// Lowers `trace` with a default [`TraceReplayWorkload`] builder.
-    pub fn from_trace(label: impl Into<String>, trace: &RegionTrace) -> Self {
+    /// Lowers `trace` with a default [`TraceReplayWorkload`] builder; see
+    /// [`TraceReplayWorkload::build`] for the errors.
+    pub fn from_trace(
+        label: impl Into<String>,
+        trace: &RegionTrace,
+    ) -> Result<Self, TraceStreamError> {
         Self::from_trace_with(label, &TraceReplayWorkload::new(), trace)
     }
 
@@ -308,8 +312,8 @@ impl ReplayTraceSource {
         label: impl Into<String>,
         builder: &TraceReplayWorkload,
         trace: &RegionTrace,
-    ) -> Self {
-        Self::new(label, Arc::new(builder.build(trace)))
+    ) -> Result<Self, TraceStreamError> {
+        Ok(Self::new(label, Arc::new(builder.build(trace)?)))
     }
 
     /// The shared workload every cell replays.
@@ -337,12 +341,14 @@ impl WorkloadSource for ReplayTraceSource {
 ///
 /// Opening the source runs one streaming pass over the directory's CSV files
 /// (validating every row and inferring the function specs in bounded
-/// memory), plus the median selection passes over the request file that
-/// [`StreamedTraceDir::open_passes`] counts; each session cell then streams
-/// its events from disk again via
-/// [`StreamedTraceDir::stream`], so no cell ever holds the request table.
-/// The seed is ignored, exactly as for [`ReplayTraceSource`]: the trace is a
-/// fixed artifact.
+/// memory) that also spills the request stream, in replay order, to a
+/// temporary file of 40 bytes per request; the median selection passes that
+/// [`StreamedTraceDir::open_passes`] counts read that spill. Each session
+/// cell then streams its events from the spill via
+/// [`StreamedTraceDir::stream`], so no cell ever holds the request table and
+/// nothing parses the request CSV after the open. The spill is removed when
+/// the last clone of the source drops. The seed is ignored, exactly as for
+/// [`ReplayTraceSource`]: the trace is a fixed artifact.
 ///
 /// `workload()` — the materialising oracle used by chunk splitting and
 /// equality tests — collects the disk stream once and memoises it; sessions
@@ -443,7 +449,7 @@ impl WorkloadSource for TraceDirSource {
 
     fn lower(&self, _seed: u64) -> LoweredWorkload {
         // The directory was fully validated at open, so a failure to reopen
-        // the request file mid-session is fatal, not recoverable.
+        // its spill mid-session is fatal, not recoverable.
         let stream = self.streamed.stream().expect("trace dir validated at open");
         LoweredWorkload::from_stream(Arc::clone(self.streamed.header()), Box::new(stream))
     }
@@ -524,7 +530,11 @@ impl WorkloadSource for SynthTraceSource {
         // Generate outside the lock; concurrent racers produce identical
         // workloads (generation is deterministic) and the first insert wins.
         let trace = SynthTraceSpec { seed, ..self.spec }.generate();
-        let workload = Arc::new(self.builder.build(&trace));
+        let workload = Arc::new(
+            self.builder
+                .build(&trace)
+                .expect("synthesized timestamps lie within `duration_days` days, a u32"),
+        );
         Arc::clone(
             self.cache
                 .lock()
@@ -741,7 +751,7 @@ mod tests {
             ..synth_spec()
         }
         .generate();
-        let source = ReplayTraceSource::from_trace("synth-r2", &trace);
+        let source = ReplayTraceSource::from_trace("synth-r2", &trace).unwrap();
         assert_eq!(source.kind(), SourceKind::Replay);
         let a = source.workload(1);
         let b = source.workload(2);
@@ -761,7 +771,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         trace.write_csv_dir(&dir).unwrap();
 
-        let eager = ReplayTraceSource::from_trace("synth-r2", &trace);
+        let eager = ReplayTraceSource::from_trace("synth-r2", &trace).unwrap();
         let streamed = TraceDirSource::open("synth-r2", trace.region, &dir).unwrap();
         assert_eq!(streamed.kind(), SourceKind::Replay);
         assert_eq!(streamed.label(), eager.label());

@@ -626,7 +626,7 @@ mod tests {
             seed: 31,
         }
         .generate();
-        let replayed = Arc::new(TraceReplayWorkload::new().build(&trace));
+        let replayed = Arc::new(TraceReplayWorkload::new().build(&trace).unwrap());
         let sweep = PolicySweep {
             replays: vec![ReplaySource {
                 label: "synth-r2".into(),

@@ -22,7 +22,7 @@ mod tests {
             seed: 21,
         }
         .generate();
-        Arc::new(TraceReplayWorkload::new().build(&trace))
+        Arc::new(TraceReplayWorkload::new().build(&trace).unwrap())
     }
 
     fn tiny_grid() -> ExperimentSession {

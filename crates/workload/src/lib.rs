@@ -63,8 +63,8 @@ pub use population::{FunctionPopulation, FunctionSpec, PopulationConfig};
 pub use presets::ScenarioPreset;
 pub use profile::{Calibration, HolidayResponse, RegionProfile};
 pub use replay::{
-    DiskReplayStream, ReplayStatsBuilder, StreamedTraceDir, TraceReplayWorkload, TraceStreamError,
-    WindowedReplayOrder, DEFAULT_REPLAY_WINDOW_MS,
+    DiskReplayStream, ReplayStatsBuilder, SpillFault, StreamedTraceDir, TraceReplayWorkload,
+    TraceStreamError, WindowedReplayOrder, DEFAULT_REPLAY_WINDOW_MS,
 };
 pub use simio::{WorkloadEvent, WorkloadSource, WorkloadSpec};
 pub use stream::{ArrivalStream, SliceStream, SpecStream, StreamedWorkload, SyntheticStream};

@@ -42,17 +42,19 @@
 //! }
 //! .generate();
 //!
-//! let workload = TraceReplayWorkload::new().build(&trace);
+//! let workload = TraceReplayWorkload::new().build(&trace)?;
 //! assert!(workload.is_replay());
 //! assert_eq!(workload.len(), trace.requests.len());
 //! assert_eq!(workload.region, RegionId::new(3));
+//! # Ok::<(), faas_workload::replay::TraceStreamError>(())
 //! ```
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::fs::File;
-use std::io::BufReader;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
 
 use fntrace::csv::CsvError;
@@ -105,10 +107,10 @@ impl TraceReplayWorkload {
     /// This is [`build_streamed`](Self::build_streamed) collected: the
     /// events come out of the same ordered [`ReplayStream`] the streaming
     /// path yields window by window.
-    pub fn build(&self, trace: &RegionTrace) -> WorkloadSpec {
-        let (mut spec, stream) = self.build_streamed(trace);
+    pub fn build(&self, trace: &RegionTrace) -> Result<WorkloadSpec, TraceStreamError> {
+        let (mut spec, stream) = self.build_streamed(trace)?;
         spec.events = stream.collect();
-        spec
+        Ok(spec)
     }
 
     /// Lowers a trace into an event-free header spec plus the
@@ -118,41 +120,58 @@ impl TraceReplayWorkload {
     /// The stream borrows the trace's request table and holds only a sorted
     /// index permutation, so replaying never duplicates the event list; the
     /// header carries the reconstructed function specs, profile, and
-    /// calibration the simulator's static state needs.
-    pub fn build_streamed<'a>(&self, trace: &'a RegionTrace) -> (WorkloadSpec, ReplayStream<'a>) {
-        let calibration = self.calibration.unwrap_or_else(|| {
-            let span_end = trace.time_span_ms().map(|(_, hi)| hi + 1).unwrap_or(0);
-            Calibration {
-                duration_days: (span_end.div_ceil(MILLIS_PER_DAY) as u32).max(1),
-                ..Calibration::default()
-            }
-        });
-        let profile = self.profile.clone().unwrap_or_else(|| {
-            let base =
-                RegionProfile::paper_region(trace.region.index()).unwrap_or_else(RegionProfile::r2);
-            RegionProfile {
-                region: trace.region,
-                ..base
-            }
-        });
-
+    /// calibration the simulator's static state needs. Without a calibration
+    /// override, timestamps spanning more days than a [`Calibration`] holds
+    /// are a [`TraceStreamError::SpanTooLong`].
+    pub fn build_streamed<'a>(
+        &self,
+        trace: &'a RegionTrace,
+    ) -> Result<(WorkloadSpec, ReplayStream<'a>), TraceStreamError> {
+        let calibration = self.calibration_for(trace.time_span_ms())?;
         let functions = infer_functions(trace, &calibration);
-
         let spec = WorkloadSpec {
             region: trace.region,
-            profile,
+            profile: self.profile_for(trace.region),
             calibration,
             functions,
             events: Vec::new(),
             source: WorkloadSource::Replay,
         };
         let stream = ReplayStream::new(trace, spec.duration_ms());
-        (spec, stream)
+        Ok((spec, stream))
     }
 
     /// Lowers every region of a dataset, in ascending region-id order.
-    pub fn build_dataset(&self, dataset: &Dataset) -> Vec<WorkloadSpec> {
+    pub fn build_dataset(&self, dataset: &Dataset) -> Result<Vec<WorkloadSpec>, TraceStreamError> {
         dataset.regions().map(|trace| self.build(trace)).collect()
+    }
+
+    /// The override, or the calibration covering a trace whose timestamps
+    /// span `span` (`[min, max]`, `None` when empty): the whole days of
+    /// `[0, max]`, at least one. A span of more days than a [`Calibration`]
+    /// holds (`u32`) is a [`TraceStreamError::SpanTooLong`].
+    fn calibration_for(&self, span: Option<(u64, u64)>) -> Result<Calibration, TraceStreamError> {
+        if let Some(calibration) = self.calibration {
+            return Ok(calibration);
+        }
+        let last_ms = span.map_or(0, |(_, hi)| hi);
+        let days = last_ms.saturating_add(1).div_ceil(MILLIS_PER_DAY);
+        Ok(Calibration {
+            duration_days: u32::try_from(days)
+                .map_err(|_| TraceStreamError::SpanTooLong { last_ms })?
+                .max(1),
+            ..Calibration::default()
+        })
+    }
+
+    /// The override, or the paper region matching `region` (Region 2's
+    /// calibration for any other id), relabelled as `region`.
+    fn profile_for(&self, region: RegionId) -> RegionProfile {
+        self.profile.clone().unwrap_or_else(|| {
+            let base =
+                RegionProfile::paper_region(region.index()).unwrap_or_else(RegionProfile::r2);
+            RegionProfile { region, ..base }
+        })
     }
 }
 
@@ -172,8 +191,9 @@ pub enum TraceStreamError {
         /// The configured reorder window.
         window_ms: u64,
     },
-    /// The request file changed between the passes of one open: a median
-    /// selection pass found a different number of keys in range than the
+    /// The open's spill file (the request stream in replay order, see
+    /// [`StreamedTraceDir`]) changed between passes: a median selection
+    /// pass over it found a different number of keys in range than the
     /// previous pass counted.
     FileChanged {
         /// Function whose median was being selected.
@@ -190,6 +210,44 @@ pub enum TraceStreamError {
         /// Largest timestamp in the trace.
         last_ms: u64,
     },
+    /// The open's spill file could not be written or read back, or no
+    /// longer holds what the open wrote.
+    Spill {
+        /// The spill file.
+        path: PathBuf,
+        /// What went wrong.
+        fault: SpillFault,
+    },
+}
+
+/// Why a spill file failed; see [`TraceStreamError::Spill`].
+#[derive(Debug)]
+pub enum SpillFault {
+    /// Creating, writing or reading the file failed.
+    Io(std::io::Error),
+    /// The file does not start with the spill magic bytes: it is not the
+    /// file the open wrote.
+    ForeignMagic,
+    /// The file's length is not that of the records the open wrote: it was
+    /// truncated or extended.
+    Length {
+        /// Bytes the open wrote.
+        expected: u64,
+        /// Bytes the file holds.
+        found: u64,
+    },
+}
+
+impl std::fmt::Display for SpillFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpillFault::Io(e) => write!(f, "I/O error: {e}"),
+            SpillFault::ForeignMagic => write!(f, "foreign magic bytes"),
+            SpillFault::Length { expected, found } => {
+                write!(f, "{found} bytes where the open wrote {expected}")
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for TraceStreamError {
@@ -214,14 +272,17 @@ impl std::fmt::Display for TraceStreamError {
                 found,
             } => write!(
                 f,
-                "request file changed while it was being opened: selecting the {stat:?} \
-                 median of {function} expected {expected} keys in range, found {found}"
+                "request spill file changed while the trace was being opened: selecting the \
+                 {stat:?} median of {function} expected {expected} keys in range, found {found}"
             ),
             TraceStreamError::SpanTooLong { last_ms } => write!(
                 f,
                 "trace timestamps reach {last_ms}ms, more than {} days",
                 u32::MAX
             ),
+            TraceStreamError::Spill { path, fault } => {
+                write!(f, "request spill file {}: {fault}", path.display())
+            }
         }
     }
 }
@@ -262,7 +323,7 @@ impl KeyRange {
 /// drops the collection, and from then on only the [`KeyRange`] grows. An
 /// overflowed median must be [`resolve`](Self::resolve)d externally before
 /// it can be read: the streaming path seeds an exact out-of-core selection
-/// over the re-streamable request file with that range (see
+/// over the open's spill of the request stream with that range (see
 /// `select_medians`). With `cap = usize::MAX` (the eager path, where the
 /// whole table is resident anyway) overflow never happens.
 #[derive(Debug, Clone)]
@@ -461,7 +522,9 @@ fn infers_timer_period(functions: &FunctionTable, function: FunctionId) -> bool 
 /// timestamps advance). A trace 100× longer with the same function
 /// population accumulates in the same footprint. Finishing the overflowed
 /// medians adds, per median and only while it is being selected, one
-/// 256-bucket histogram (6 KiB) or at most `cap` keys.
+/// 256-bucket histogram (6 KiB) or at most `cap` keys; the request stream
+/// those selection passes re-read lives on disk, in the open's spill file
+/// (40 bytes per request), never in memory.
 #[derive(Debug)]
 pub struct ReplayStatsBuilder {
     accum: BTreeMap<FunctionId, StreamAccum>,
@@ -491,7 +554,7 @@ impl ReplayStatsBuilder {
     /// [`pending_medians`](Self::pending_medians) reports those that
     /// [`finish`](Self::finish) reads, and each must be
     /// [`resolve_median`](Self::resolve_median)d before `finish` (the
-    /// streaming path re-scans the request file with `select_medians`).
+    /// streaming path re-reads the open's spill with `select_medians`).
     pub fn with_median_cap(cap: usize) -> Self {
         Self {
             accum: BTreeMap::new(),
@@ -805,25 +868,23 @@ impl Selector {
 /// Exact out-of-core selection of the medians `builder` overflowed (its
 /// [`pending_medians`](ReplayStatsBuilder::pending_medians) for
 /// `functions`), resolved into `builder`; returns the number of passes made
-/// over the request file.
+/// over `spill`.
 ///
 /// Every [`Selector`] is seeded with its statistic's key count and
 /// `[min, max]` range from the inference pass, so a constant statistic is
-/// resolved without any pass. Each pass re-streams the request file through
-/// the same [`WindowedReplayOrder`] the builder consumed (the order is
-/// deterministic, and gap keys depend on it) and advances every unresolved
-/// selector at once: typically one narrowing pass and one gathering pass,
-/// at most 8 when keys spread over all 64 bits. Every pass checks that it
-/// finds exactly the keys in range the previous one counted, so a file that
-/// changed between passes is a [`TraceStreamError::FileChanged`], never a
-/// wrong median. Resident memory is one 256-bucket histogram or at most the
-/// builder's median cap of keys per unresolved selector, independent of
-/// trace length.
+/// resolved without any pass. Each pass reads the spill front to back — the
+/// request stream in exactly the replay order the builder consumed (gap keys
+/// depend on it) — and advances every unresolved selector at once: typically
+/// one narrowing pass and one gathering pass, at most 8 when keys spread
+/// over all 64 bits. Every pass checks that it finds exactly the keys in
+/// range the previous one counted, so a spill that changed between passes is
+/// a [`TraceStreamError::FileChanged`], never a wrong median. Resident
+/// memory is one 256-bucket histogram or at most the builder's median cap of
+/// keys per unresolved selector, independent of trace length.
 fn select_medians(
     builder: &mut ReplayStatsBuilder,
     functions: &FunctionTable,
-    requests_path: &Path,
-    window_ms: u64,
+    spill: &Spill,
 ) -> Result<u32, TraceStreamError> {
     let cap = builder.median_cap;
     let pending = builder.pending_medians(functions);
@@ -853,10 +914,9 @@ fn select_medians(
         }
         passes += 1;
 
-        let reader = TraceReader::<_, RequestRecord>::from_path(requests_path)?;
         let mut prev_ts: HashMap<FunctionId, u64> = HashMap::new();
-        for rec in WindowedReplayOrder::new(reader, window_ms) {
-            let r = rec?;
+        for rec in spill.read()? {
+            let r = rec.map_err(|e| spill.error(SpillFault::Io(e)))?;
             let Some(indices) = by_function.get(&r.function) else {
                 continue;
             };
@@ -867,8 +927,8 @@ fn select_medians(
                 let s = &mut selectors[i];
                 match pending[i].stat {
                     ReplayStat::ExecUs => s.observe(r.execution_time_us),
-                    ReplayStat::CpuKey => s.observe(f64_total_key(r.cpu_usage_millicores)),
-                    ReplayStat::MemoryBytes => s.observe(r.memory_usage_bytes),
+                    ReplayStat::CpuKey => s.observe(r.cpu_key),
+                    ReplayStat::MemoryBytes => s.observe(r.memory_bytes),
                     ReplayStat::GapMs => {
                         if let Some(g) = gap {
                             s.observe(g);
@@ -1038,20 +1098,202 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
 /// Default reorder window for disk-backed replay: one hour of trace time.
 pub const DEFAULT_REPLAY_WINDOW_MS: u64 = MILLIS_PER_HOUR;
 
+/// First bytes of every spill file.
+const SPILL_MAGIC: [u8; 8] = *b"FCRQSPL1";
+
+/// Bytes per spilled request: five little-endian `u64`s.
+const SPILL_RECORD_BYTES: usize = 40;
+
+/// Spill files this process has created; with the process id it makes each
+/// spill's name unique.
+static SPILLS_CREATED: AtomicU64 = AtomicU64::new(0);
+
+/// One request as the spill holds it: the fields replay and median
+/// selection read.
+#[derive(Debug, Clone, Copy)]
+struct SpillRecord {
+    timestamp_ms: u64,
+    function: FunctionId,
+    execution_time_us: u64,
+    /// CPU millicores through [`f64_total_key`].
+    cpu_key: u64,
+    memory_bytes: u64,
+}
+
+impl SpillRecord {
+    fn new(r: &RequestRecord) -> Self {
+        Self {
+            timestamp_ms: r.timestamp_ms,
+            function: r.function,
+            execution_time_us: r.execution_time_us,
+            cpu_key: f64_total_key(r.cpu_usage_millicores),
+            memory_bytes: r.memory_usage_bytes,
+        }
+    }
+
+    fn encode(&self) -> [u8; SPILL_RECORD_BYTES] {
+        let fields = [
+            self.timestamp_ms,
+            self.function.raw(),
+            self.execution_time_us,
+            self.cpu_key,
+            self.memory_bytes,
+        ];
+        let mut bytes = [0; SPILL_RECORD_BYTES];
+        for (out, field) in bytes.chunks_exact_mut(8).zip(fields) {
+            out.copy_from_slice(&field.to_le_bytes());
+        }
+        bytes
+    }
+
+    fn decode(bytes: &[u8; SPILL_RECORD_BYTES]) -> Self {
+        let field = |i: usize| {
+            let mut le = [0; 8];
+            le.copy_from_slice(&bytes[8 * i..8 * i + 8]);
+            u64::from_le_bytes(le)
+        };
+        Self {
+            timestamp_ms: field(0),
+            function: FunctionId::new(field(1)),
+            execution_time_us: field(2),
+            cpu_key: field(3),
+            memory_bytes: field(4),
+        }
+    }
+}
+
+/// The request stream of one open, in replay order, in a temporary file:
+/// [`SPILL_MAGIC`], then one 40-byte [`SpillRecord`] per request. The file
+/// is removed when the `Spill` drops.
+#[derive(Debug)]
+struct Spill {
+    path: PathBuf,
+    records: u64,
+}
+
+impl Spill {
+    /// Creates an empty spill file in `dir`, named by the process id and a
+    /// process-wide count; a name that already exists is skipped.
+    fn create(dir: &Path) -> Result<(Self, File), TraceStreamError> {
+        loop {
+            let n = SPILLS_CREATED.fetch_add(1, atomic::Ordering::Relaxed);
+            let path = dir.join(format!("faas-replay-{}-{n}.spill", std::process::id()));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(file) => return Ok((Self { path, records: 0 }, file)),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => {
+                    return Err(TraceStreamError::Spill {
+                        path,
+                        fault: SpillFault::Io(e),
+                    })
+                }
+            }
+        }
+    }
+
+    fn error(&self, fault: SpillFault) -> TraceStreamError {
+        TraceStreamError::Spill {
+            path: self.path.clone(),
+            fault,
+        }
+    }
+
+    /// Opens the file for one front-to-back read, after checking that it
+    /// holds exactly the bytes written: the magic and `records` records.
+    fn read(&self) -> Result<SpillReader, TraceStreamError> {
+        let io_error = |e| self.error(SpillFault::Io(e));
+        let file = File::open(&self.path).map_err(io_error)?;
+        let expected = (SPILL_MAGIC.len() as u64)
+            .saturating_add(self.records.saturating_mul(SPILL_RECORD_BYTES as u64));
+        let found = file.metadata().map_err(io_error)?.len();
+        if found != expected {
+            return Err(self.error(SpillFault::Length { expected, found }));
+        }
+        let mut input = BufReader::new(file);
+        let mut magic = [0; SPILL_MAGIC.len()];
+        input.read_exact(&mut magic).map_err(io_error)?;
+        if magic != SPILL_MAGIC {
+            return Err(self.error(SpillFault::ForeignMagic));
+        }
+        Ok(SpillReader {
+            input,
+            remaining: self.records,
+        })
+    }
+}
+
+impl Drop for Spill {
+    fn drop(&mut self) {
+        // Nothing to report a failure to; the file is only left behind.
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// One front-to-back read of a validated [`Spill`].
+#[derive(Debug)]
+struct SpillReader {
+    input: BufReader<File>,
+    remaining: u64,
+}
+
+impl Iterator for SpillReader {
+    type Item = io::Result<SpillRecord>;
+
+    fn next(&mut self) -> Option<io::Result<SpillRecord>> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let mut bytes = [0; SPILL_RECORD_BYTES];
+        Some(
+            self.input
+                .read_exact(&mut bytes)
+                .map(|()| SpillRecord::decode(&bytes)),
+        )
+    }
+}
+
+/// The inference pass of an open: feeds `builder` every request of
+/// `ordered` and writes each, in that order, to a new spill file in `dir`.
+/// On any error the partial spill is removed.
+fn spill_requests(
+    builder: &mut ReplayStatsBuilder,
+    ordered: impl Iterator<Item = Result<RequestRecord, TraceStreamError>>,
+    dir: &Path,
+) -> Result<Spill, TraceStreamError> {
+    let (mut spill, file) = Spill::create(dir)?;
+    let mut out = BufWriter::new(file);
+    out.write_all(&SPILL_MAGIC)
+        .map_err(|e| spill.error(SpillFault::Io(e)))?;
+    for rec in ordered {
+        let r = rec?;
+        builder.record_request(&r);
+        out.write_all(&SpillRecord::new(&r).encode())
+            .map_err(|e| spill.error(SpillFault::Io(e)))?;
+        spill.records += 1;
+    }
+    out.flush().map_err(|e| spill.error(SpillFault::Io(e)))?;
+    Ok(spill)
+}
+
 /// A trace directory opened for streaming replay: an event-free header spec
 /// (inferred while opening) plus the ability to stream the request file's
 /// events in [`ReplayStream`] order on demand.
 ///
-/// Built by [`TraceReplayWorkload::open_csv_dir`]. The header is identical
-/// to what [`TraceReplayWorkload::build_streamed`] produces from the fully
-/// materialised [`RegionTrace`] of the same directory; [`stream`](Self::stream)
-/// yields exactly the same event sequence as the in-memory [`ReplayStream`].
+/// Built by [`TraceReplayWorkload::open_csv_dir`], whose one pass over the
+/// request CSV also spills the request stream, in replay order, to a
+/// temporary file of 40 bytes per request in [`std::env::temp_dir`]; nothing
+/// reads the CSV again after the open. Clones share that file through an
+/// `Arc`, as do the [`DiskReplayStream`]s they open, and it is removed when
+/// the last of them drops. The header is identical to what
+/// [`TraceReplayWorkload::build_streamed`] produces from the fully
+/// materialised [`RegionTrace`] of the same directory;
+/// [`stream`](Self::stream) yields exactly the same event sequence as the
+/// in-memory [`ReplayStream`].
 #[derive(Debug, Clone)]
 pub struct StreamedTraceDir {
     header: Arc<WorkloadSpec>,
-    requests_path: PathBuf,
-    window_ms: u64,
-    requests: u64,
+    spill: Arc<Spill>,
     cold_starts: u64,
     functions: u64,
     open_passes: u32,
@@ -1063,15 +1305,17 @@ impl StreamedTraceDir {
         &self.header
     }
 
-    /// Passes the open made over the request file: the inference pass plus
-    /// the median selection passes. Deterministic for a given fileset.
+    /// Passes the open made over the request stream: the one pass over the
+    /// request CSV, which infers the header and writes the spill, plus the
+    /// median selection passes over the spill. Deterministic for a given
+    /// fileset.
     pub fn open_passes(&self) -> u32 {
         self.open_passes
     }
 
     /// Number of request records counted in the inference pass.
     pub fn request_count(&self) -> u64 {
-        self.requests
+        self.spill.records
     }
 
     /// Number of cold-start records counted in the inference pass.
@@ -1086,14 +1330,16 @@ impl StreamedTraceDir {
         self.functions
     }
 
-    /// Opens a fresh disk-backed event stream (one more pass over the request
-    /// file). Every call replays the same deterministic sequence.
+    /// Opens a fresh event stream that reads the spill front to back; the
+    /// request CSV is not read again. Every call replays the same
+    /// deterministic sequence. A spill that no longer starts with its magic
+    /// bytes or no longer has its exact length is a
+    /// [`TraceStreamError::Spill`].
     pub fn stream(&self) -> Result<DiskReplayStream, TraceStreamError> {
-        let reader = TraceReader::<_, RequestRecord>::from_path(&self.requests_path)?;
         Ok(DiskReplayStream {
-            inner: WindowedReplayOrder::new(reader, self.window_ms),
+            records: self.spill.read()?,
             horizon_ms: self.header.duration_ms(),
-            remaining: self.requests,
+            _spill: Arc::clone(&self.spill),
         })
     }
 }
@@ -1102,30 +1348,30 @@ impl StreamedTraceDir {
 /// streaming counterpart of [`ReplayStream`], produced by
 /// [`StreamedTraceDir::stream`].
 ///
-/// The request file was fully validated (parse and ordering) by the
-/// inference pass, so mid-stream errors can only mean the file changed or
-/// failed underneath a running simulation; they panic rather than silently
-/// truncating the replay.
+/// Reads the open's spill of the request stream with buffered reads, one
+/// 40-byte record per event, with no reorder buffer: the spill already holds
+/// the replay order. [`StreamedTraceDir::stream`] checked the spill's magic
+/// bytes and exact length, so a read that fails mid-stream can only mean
+/// the file failed underneath a running simulation; it panics rather than
+/// silently truncating the replay. The stream keeps the spill file until it
+/// drops.
 pub struct DiskReplayStream {
-    inner: WindowedReplayOrder<TraceReader<BufReader<File>, RequestRecord>>,
+    records: SpillReader,
     horizon_ms: u64,
-    remaining: u64,
+    _spill: Arc<Spill>,
 }
 
 impl Iterator for DiskReplayStream {
     type Item = WorkloadEvent;
 
     fn next(&mut self) -> Option<WorkloadEvent> {
-        match self.inner.next()? {
-            Ok(rec) => {
-                self.remaining = self.remaining.saturating_sub(1);
-                Some(WorkloadEvent {
-                    timestamp_ms: rec.timestamp_ms,
-                    function: rec.function,
-                })
-            }
-            Err(e) => panic!("trace file changed underneath a running replay: {e}"),
-        }
+        let rec = self.records.next()?.unwrap_or_else(|e| {
+            panic!("request spill file failed underneath a running replay: {e}")
+        });
+        Some(WorkloadEvent {
+            timestamp_ms: rec.timestamp_ms,
+            function: rec.function,
+        })
     }
 }
 
@@ -1135,7 +1381,7 @@ impl ArrivalStream for DiskReplayStream {
     }
 
     fn events_hint(&self) -> Option<u64> {
-        Some(self.remaining)
+        Some(self.records.remaining)
     }
 }
 
@@ -1144,14 +1390,16 @@ impl TraceReplayWorkload {
     /// for streaming replay with the default one-hour reorder window.
     ///
     /// This is the larger-than-memory counterpart of
-    /// [`RegionTrace::read_csv_dir`] + [`build_streamed`](Self::build_streamed):
-    /// one streaming pass over the three files infers the function specs
-    /// (via [`ReplayStatsBuilder`]) and validates every row, and medians that
-    /// outgrew their in-memory cap are finished by selection passes over the
-    /// request file (typically 2, at most 8; see
-    /// [`StreamedTraceDir::open_passes`]). The returned [`StreamedTraceDir`]
-    /// then replays events straight from disk. Only the function table is
-    /// held resident.
+    /// [`RegionTrace::read_csv_dir`] + [`build_streamed`](Self::build_streamed).
+    /// One streaming pass over the three files validates every row, infers
+    /// the function specs (via [`ReplayStatsBuilder`]) and writes the
+    /// request stream, in replay order, to a spill file in
+    /// [`std::env::temp_dir`] (40 bytes per request). Medians that outgrew
+    /// their in-memory cap are finished by selection passes over the spill
+    /// (typically 2, at most 8; see [`StreamedTraceDir::open_passes`]), and
+    /// the returned [`StreamedTraceDir`] replays events from it: the request
+    /// CSV is parsed exactly once. Only the function table is held resident.
+    /// A failed open removes its partial spill.
     pub fn open_csv_dir(
         &self,
         region: RegionId,
@@ -1169,6 +1417,18 @@ impl TraceReplayWorkload {
         dir: &Path,
         window_ms: u64,
     ) -> Result<StreamedTraceDir, TraceStreamError> {
+        self.open_spilling_to(region, dir, window_ms, &std::env::temp_dir())
+    }
+
+    /// [`open_csv_dir_with_window`](Self::open_csv_dir_with_window) with the
+    /// spill file created in `spill_dir`.
+    fn open_spilling_to(
+        &self,
+        region: RegionId,
+        dir: &Path,
+        window_ms: u64,
+        spill_dir: &Path,
+    ) -> Result<StreamedTraceDir, TraceStreamError> {
         let paths = TraceDirPaths::new(region, dir);
         let mut functions = FunctionTable::new();
         for rec in TraceReader::<_, fntrace::FunctionMeta>::from_path(&paths.functions)? {
@@ -1180,54 +1440,29 @@ impl TraceReplayWorkload {
             builder.record_cold_start(&rec?);
         }
         let reader = TraceReader::<_, RequestRecord>::from_path(&paths.requests)?;
-        for rec in WindowedReplayOrder::new(reader, window_ms) {
-            builder.record_request(&rec?);
-        }
-
-        let calibration = match self.calibration {
-            Some(calibration) => calibration,
-            None => {
-                let last_ms = builder.span_ms().map_or(0, |(_, hi)| hi);
-                let days = last_ms.saturating_add(1).div_ceil(MILLIS_PER_DAY);
-                Calibration {
-                    duration_days: u32::try_from(days)
-                        .map_err(|_| TraceStreamError::SpanTooLong { last_ms })?
-                        .max(1),
-                    ..Calibration::default()
-                }
-            }
-        };
+        let ordered = WindowedReplayOrder::new(reader, window_ms);
+        let spill = spill_requests(&mut builder, ordered, spill_dir)?;
+        let calibration = self.calibration_for(builder.span_ms())?;
 
         // Functions with more than `MEDIAN_COLLECT_CAP` observations per
         // statistic dropped their key collections; finish those medians
-        // exactly by re-streaming the file (bounded extra passes, bounded
+        // exactly by re-reading the spill (bounded extra passes, bounded
         // memory) instead of letting resident state grow with trace length.
-        let selection_passes =
-            select_medians(&mut builder, &functions, &paths.requests, window_ms)?;
+        let selection_passes = select_medians(&mut builder, &functions, &spill)?;
 
-        let profile = self.profile.clone().unwrap_or_else(|| {
-            let base =
-                RegionProfile::paper_region(region.index()).unwrap_or_else(RegionProfile::r2);
-            RegionProfile { region, ..base }
-        });
-        let requests = builder.request_count();
         let cold_starts = builder.cold_start_count();
         let function_rows = functions.len() as u64;
-        let specs = builder.finish(&functions, &calibration);
-
         let header = Arc::new(WorkloadSpec {
             region,
-            profile,
+            profile: self.profile_for(region),
             calibration,
-            functions: specs,
+            functions: builder.finish(&functions, &calibration),
             events: Vec::new(),
             source: WorkloadSource::Replay,
         });
         Ok(StreamedTraceDir {
             header,
-            requests_path: paths.requests,
-            window_ms,
-            requests,
+            spill: Arc::new(spill),
             cold_starts,
             functions: function_rows,
             open_passes: 1 + selection_passes,
@@ -1260,7 +1495,7 @@ mod tests {
     #[test]
     fn replay_preserves_every_request_as_an_event() {
         let trace = synth_trace(1);
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         assert_eq!(workload.len(), trace.requests.len());
         assert!(workload.is_replay());
         assert_eq!(workload.region, RegionId::new(4));
@@ -1272,13 +1507,13 @@ mod tests {
             assert!(workload.function(e.function).is_some());
         }
         // Deterministic: same trace, same workload.
-        assert_eq!(workload, TraceReplayWorkload::new().build(&trace));
+        assert_eq!(workload, TraceReplayWorkload::new().build(&trace).unwrap());
     }
 
     #[test]
     fn inferred_specs_match_the_function_table() {
         let trace = synth_trace(2);
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         for spec in &workload.functions {
             let meta = trace.functions.get(spec.function).expect("meta exists");
             assert_eq!(spec.runtime, meta.runtime);
@@ -1299,7 +1534,7 @@ mod tests {
     #[test]
     fn dependency_layers_are_read_from_cold_start_components() {
         let trace = synth_trace(3);
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         for spec in &workload.functions {
             let expected = trace
                 .cold_starts
@@ -1313,7 +1548,7 @@ mod tests {
     #[test]
     fn calibration_spans_the_trace_and_can_be_overridden() {
         let trace = synth_trace(4);
-        let inferred = TraceReplayWorkload::new().build(&trace);
+        let inferred = TraceReplayWorkload::new().build(&trace).unwrap();
         let (_, hi) = trace.time_span_ms().unwrap();
         assert!(inferred.duration_ms() > hi);
 
@@ -1324,7 +1559,8 @@ mod tests {
         let overridden = TraceReplayWorkload::new()
             .with_calibration(fixed)
             .with_profile(RegionProfile::r1())
-            .build(&trace);
+            .build(&trace)
+            .unwrap();
         assert_eq!(overridden.calibration.duration_days, 9);
         assert_eq!(
             overridden.profile.component_base,
@@ -1352,7 +1588,7 @@ mod tests {
                 memory_usage_bytes: 1 << 20,
             });
         }
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         assert_eq!(workload.functions.len(), 1);
         assert_eq!(workload.functions[0].concurrency, 2);
         // Back-to-back requests never overlap.
@@ -1370,7 +1606,7 @@ mod tests {
                 memory_usage_bytes: 1 << 20,
             });
         }
-        let workload = TraceReplayWorkload::new().build(&seq);
+        let workload = TraceReplayWorkload::new().build(&seq).unwrap();
         assert_eq!(workload.functions[0].concurrency, 1);
     }
 
@@ -1388,7 +1624,7 @@ mod tests {
             cpu_usage_millicores: 80.0,
             memory_usage_bytes: 4 << 20,
         });
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         let spec = &workload.functions[0];
         assert_eq!(spec.runtime, Runtime::Unknown);
         assert_eq!(spec.triggers, vec![TriggerType::Unknown]);
@@ -1398,30 +1634,44 @@ mod tests {
     #[test]
     fn streamed_dir_matches_eager_build_exactly() {
         let dir = std::env::temp_dir().join("faas_workload_streamdir_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let trace = synth_trace(7);
-        trace.write_csv_dir(&dir).unwrap();
+        let sorted = synth_trace(7);
+        // The same rows with every pair swapped: disorder the open's reorder
+        // window must undo before the rows reach the spill.
+        let mut swapped = RegionTrace::new(sorted.region);
+        for pair in sorted.requests.records().chunks(2) {
+            for r in pair.iter().rev() {
+                swapped.requests.push(*r);
+            }
+        }
+        swapped.cold_starts = sorted.cold_starts.clone();
+        swapped.functions = sorted.functions.clone();
 
-        let eager_trace = RegionTrace::read_csv_dir(trace.region, &dir).unwrap();
-        let (eager_header, eager_stream) = TraceReplayWorkload::new().build_streamed(&eager_trace);
-        let eager_events: Vec<WorkloadEvent> = eager_stream.collect();
+        for trace in [sorted, swapped] {
+            std::fs::remove_dir_all(&dir).ok();
+            trace.write_csv_dir(&dir).unwrap();
+            let eager_trace = RegionTrace::read_csv_dir(trace.region, &dir).unwrap();
+            let (eager_header, eager_stream) = TraceReplayWorkload::new()
+                .build_streamed(&eager_trace)
+                .unwrap();
+            let eager_events: Vec<WorkloadEvent> = eager_stream.collect();
 
-        let streamed = TraceReplayWorkload::new()
-            .open_csv_dir(trace.region, &dir)
-            .unwrap();
-        assert_eq!(**streamed.header(), eager_header);
-        assert_eq!(streamed.request_count(), trace.requests.len() as u64);
-        assert_eq!(streamed.cold_start_count(), trace.cold_starts.len() as u64);
+            let streamed = TraceReplayWorkload::new()
+                .open_csv_dir(trace.region, &dir)
+                .unwrap();
+            assert_eq!(**streamed.header(), eager_header);
+            assert_eq!(streamed.request_count(), trace.requests.len() as u64);
+            assert_eq!(streamed.cold_start_count(), trace.cold_starts.len() as u64);
 
-        let disk = streamed.stream().unwrap();
-        assert_eq!(disk.horizon_ms(), eager_header.duration_ms());
-        assert_eq!(disk.events_hint(), Some(eager_events.len() as u64));
-        let disk_events: Vec<WorkloadEvent> = disk.collect();
-        assert_eq!(disk_events, eager_events);
+            let disk = streamed.stream().unwrap();
+            assert_eq!(disk.horizon_ms(), eager_header.duration_ms());
+            assert_eq!(disk.events_hint(), Some(eager_events.len() as u64));
+            let disk_events: Vec<WorkloadEvent> = disk.collect();
+            assert_eq!(disk_events, eager_events);
 
-        // Repeated streams replay the same sequence.
-        let again: Vec<WorkloadEvent> = streamed.stream().unwrap().collect();
-        assert_eq!(again, disk_events);
+            // Repeated streams replay the same sequence.
+            let again: Vec<WorkloadEvent> = streamed.stream().unwrap().collect();
+            assert_eq!(again, disk_events);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1442,7 +1692,7 @@ mod tests {
         // A cap this small forces every function's medians through the
         // out-of-core selection passes.
         let cap = 4;
-        let mut builder = capped_builder(&paths.requests, cap);
+        let (mut builder, spill) = capped_builder(&paths.requests, cap, &dir);
         for cs in trace.cold_starts.records() {
             builder.record_cold_start(cs);
         }
@@ -1450,13 +1700,7 @@ mod tests {
             !builder.pending_medians(&trace.functions).is_empty(),
             "the tiny cap must overflow"
         );
-        let passes = select_medians(
-            &mut builder,
-            &trace.functions,
-            &paths.requests,
-            DEFAULT_REPLAY_WINDOW_MS,
-        )
-        .unwrap();
+        let passes = select_medians(&mut builder, &trace.functions, &spill).unwrap();
         let streamed = builder.finish(&trace.functions, &calibration);
         assert_eq!(streamed, eager);
         // The open of this fileset at this cap: inference plus selection.
@@ -1464,14 +1708,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A builder with median cap `cap` fed a request file in replay order.
-    fn capped_builder(requests: &Path, cap: usize) -> ReplayStatsBuilder {
+    /// A builder with median cap `cap` fed a request file in replay order,
+    /// and the spill that inference pass wrote into `spill_dir`.
+    fn capped_builder(
+        requests: &Path,
+        cap: usize,
+        spill_dir: &Path,
+    ) -> (ReplayStatsBuilder, Spill) {
         let mut builder = ReplayStatsBuilder::with_median_cap(cap);
         let reader = TraceReader::<_, RequestRecord>::from_path(requests).unwrap();
-        for rec in WindowedReplayOrder::new(reader, DEFAULT_REPLAY_WINDOW_MS) {
-            builder.record_request(&rec.unwrap());
-        }
-        builder
+        let ordered = WindowedReplayOrder::new(reader, DEFAULT_REPLAY_WINDOW_MS);
+        let spill = spill_requests(&mut builder, ordered, spill_dir).unwrap();
+        (builder, spill)
+    }
+
+    /// An empty directory for one test's spill files.
+    fn spill_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("faas_workload_{name}_spills"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Names of the files in `dir`.
+    fn files_in(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
     }
 
     /// One request of `function` on pod 1 with fixed CPU and memory.
@@ -1523,7 +1787,9 @@ mod tests {
             .unwrap();
         assert_eq!(streamed.open_passes(), 1);
         let eager_trace = RegionTrace::read_csv_dir(trace.region, &dir).unwrap();
-        let (eager_header, _) = TraceReplayWorkload::new().build_streamed(&eager_trace);
+        let (eager_header, _) = TraceReplayWorkload::new()
+            .build_streamed(&eager_trace)
+            .unwrap();
         assert_eq!(**streamed.header(), eager_header);
         assert_eq!(eager_header.functions[0].timer_period_secs, 60.0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1546,14 +1812,9 @@ mod tests {
 
         let before = TraceDirPaths::new(trace.region, &dir.join("before"));
         let after = TraceDirPaths::new(trace.region, &dir.join("after"));
-        let mut builder = capped_builder(&before.requests, 4);
-        let err = select_medians(
-            &mut builder,
-            &trace.functions,
-            &after.requests,
-            DEFAULT_REPLAY_WINDOW_MS,
-        )
-        .unwrap_err();
+        let (mut builder, _) = capped_builder(&before.requests, 4, &dir);
+        let (_, changed_spill) = capped_builder(&after.requests, 4, &dir);
+        let err = select_medians(&mut builder, &trace.functions, &changed_spill).unwrap_err();
         let TraceStreamError::FileChanged {
             function,
             expected,
@@ -1586,27 +1847,143 @@ mod tests {
         }
         assert_eq!(builder.span_ms(), Some((u64::MAX - 7, u64::MAX)));
 
-        // A day span beyond `u32` days is a typed error when opening.
+        // A day span beyond `u32` days is a typed error, both when opening a
+        // directory and when lowering a resident trace; the failed open
+        // leaves no spill behind.
         let dir = std::env::temp_dir().join("faas_workload_hostile_span_test");
-        for last_ms in [u64::MAX - 5, 1 << 60] {
+        let spills = spill_dir("hostile_span");
+        for last_ms in [u64::MAX - 5, u64::MAX, 1 << 60] {
             std::fs::remove_dir_all(&dir).ok();
             let mut trace = RegionTrace::new(RegionId::new(2));
             trace.requests.push(request(1, 0, 0, 1_000_000));
             trace.requests.push(request(1, 1, last_ms, 1_000_000));
             trace.write_csv_dir(&dir).unwrap();
-            let err = TraceReplayWorkload::new()
-                .open_csv_dir(trace.region, &dir)
+            let streamed = TraceReplayWorkload::new()
+                .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
                 .unwrap_err();
-            assert!(
-                matches!(err, TraceStreamError::SpanTooLong { last_ms: l } if l == last_ms),
-                "{err}"
-            );
+            let eager = TraceReplayWorkload::new().build(&trace).unwrap_err();
+            for err in [streamed, eager] {
+                assert!(
+                    matches!(err, TraceStreamError::SpanTooLong { last_ms: l } if l == last_ms),
+                    "{last_ms}: {err}"
+                );
+            }
+            assert_eq!(files_in(&spills), Vec::<String>::new());
         }
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&spills).ok();
+    }
+
+    /// A fileset of `synth_trace(seed)` in a fresh directory named `name`,
+    /// opened with its spill in a fresh directory of its own.
+    fn open_fixture(name: &str, seed: u64) -> (PathBuf, PathBuf, StreamedTraceDir) {
+        let dir = std::env::temp_dir().join(format!("faas_workload_{name}_test"));
+        std::fs::remove_dir_all(&dir).ok();
+        let trace = synth_trace(seed);
+        trace.write_csv_dir(&dir).unwrap();
+        let spills = spill_dir(name);
+        let streamed = TraceReplayWorkload::new()
+            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .unwrap();
+        (dir, spills, streamed)
+    }
+
+    #[test]
+    fn a_truncated_or_foreign_spill_is_a_typed_error() {
+        let (dir, spills, streamed) = open_fixture("bad_spill", 12);
+        let path = streamed.spill.path.clone();
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(len, 8 + 40 * streamed.request_count());
+
+        let truncated = OpenOptions::new().write(true).open(&path).unwrap();
+        truncated.set_len(len - 1).unwrap();
+        drop(truncated);
+        let err = streamed.stream().err().expect("a truncated spill");
+        assert!(
+            matches!(
+                err,
+                TraceStreamError::Spill { fault: SpillFault::Length { expected, found }, .. }
+                    if expected == len && found == len - 1
+            ),
+            "{err}"
+        );
+
+        // The right length behind foreign magic bytes.
+        std::fs::write(&path, vec![0u8; len as usize]).unwrap();
+        let err = streamed.stream().err().expect("a foreign spill");
+        assert!(
+            matches!(
+                err,
+                TraceStreamError::Spill {
+                    fault: SpillFault::ForeignMagic,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        drop(streamed);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&spills).ok();
+    }
+
+    #[test]
+    fn the_spill_is_removed_when_its_last_holder_drops() {
+        let (dir, spills, streamed) = open_fixture("spill_lifetime", 13);
+        let clone = streamed.clone();
+        let stream = clone.stream().unwrap();
+        assert_eq!(files_in(&spills).len(), 1);
+        drop(streamed);
+        drop(clone);
+        // The open stream still reads the file to its end.
+        assert_eq!(files_in(&spills).len(), 1);
+        assert_eq!(stream.count(), synth_trace(13).requests.len());
+        assert_eq!(files_in(&spills), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&spills).ok();
+    }
+
+    #[test]
+    fn an_open_that_fails_part_way_removes_its_spill() {
+        let dir = std::env::temp_dir().join("faas_workload_failed_open_test");
+        let spills = spill_dir("failed_open");
+        let trace = synth_trace(14);
+        let requests = TraceDirPaths::new(trace.region, &dir).requests;
+        let last = *trace.requests.records().last().unwrap();
+
+        // A last row two reorder windows behind the rows before it.
+        std::fs::remove_dir_all(&dir).ok();
+        let mut late = trace.clone();
+        late.requests.push(RequestRecord {
+            timestamp_ms: last.timestamp_ms - 2 * DEFAULT_REPLAY_WINDOW_MS,
+            ..last
+        });
+        late.write_csv_dir(&dir).unwrap();
+        let err = TraceReplayWorkload::new()
+            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .unwrap_err();
+        assert!(matches!(err, TraceStreamError::Disorder { .. }), "{err}");
+        assert_eq!(files_in(&spills), Vec::<String>::new());
+
+        // A malformed last row.
+        std::fs::remove_dir_all(&dir).ok();
+        trace.write_csv_dir(&dir).unwrap();
+        let mut text = std::fs::read_to_string(&requests).unwrap();
+        text.push_str("not,a,request\n");
+        std::fs::write(&requests, text).unwrap();
+        let err = TraceReplayWorkload::new()
+            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .unwrap_err();
+        assert!(
+            matches!(err, TraceStreamError::Csv(CsvError::Parse { .. })),
+            "{err}"
+        );
+        assert_eq!(files_in(&spills), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&spills).ok();
     }
 
     /// Selects sorted index `rank` of `keys`, re-scanning the slice once per
-    /// pass as `select_medians` re-streams the request file. Returns the key
+    /// pass as `select_medians` re-reads the spill. Returns the key
     /// and the passes made; panics past the 8-pass bound.
     fn select_in_memory(keys: &[u64], rank: u64, cap: usize) -> (u64, u32) {
         let mut range = KeyRange::EMPTY;
@@ -1790,7 +2167,7 @@ mod tests {
                 ..SynthTraceSpec::default()
             },
         ]);
-        let workloads = TraceReplayWorkload::new().build_dataset(&ds);
+        let workloads = TraceReplayWorkload::new().build_dataset(&ds).unwrap();
         assert_eq!(workloads.len(), 2);
         assert_eq!(workloads[0].region, RegionId::new(1));
         assert_eq!(workloads[1].region, RegionId::new(2));

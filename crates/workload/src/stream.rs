@@ -700,7 +700,9 @@ mod tests {
             seed: 21,
         }
         .generate();
-        let workload = crate::replay::TraceReplayWorkload::new().build(&trace);
+        let workload = crate::replay::TraceReplayWorkload::new()
+            .build(&trace)
+            .unwrap();
         let stream = ReplayStream::new(&trace, workload.duration_ms());
         assert_eq!(stream.events_hint(), Some(trace.requests.len() as u64));
         let events: Vec<WorkloadEvent> = stream.collect();

@@ -107,7 +107,7 @@ proptest! {
             ..fntrace::SynthTraceSpec::default()
         }
         .generate();
-        let workload = TraceReplayWorkload::new().build(&trace);
+        let workload = TraceReplayWorkload::new().build(&trace).unwrap();
         prop_assert_eq!(workload.len(), trace.requests.len());
         let mut expected: Vec<u64> = trace
             .requests

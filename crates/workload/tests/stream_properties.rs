@@ -141,8 +141,8 @@ proptest! {
         }
         .generate();
         let builder = TraceReplayWorkload::new();
-        let materialised = builder.build(&trace);
-        let (header, stream) = builder.build_streamed(&trace);
+        let materialised = builder.build(&trace).unwrap();
+        let (header, stream) = builder.build_streamed(&trace).unwrap();
         prop_assert!(header.events.is_empty());
         prop_assert_eq!(&header.functions, &materialised.functions);
         prop_assert_eq!(stream.events_hint(), Some(trace.requests.len() as u64));

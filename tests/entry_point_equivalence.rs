@@ -32,7 +32,11 @@ fn replayed_workload() -> Arc<WorkloadSpec> {
         seed: 21,
     }
     .generate();
-    Arc::new(TraceReplayWorkload::new().build(&trace))
+    Arc::new(
+        TraceReplayWorkload::new()
+            .build(&trace)
+            .expect("a synthesized trace fits a calibration"),
+    )
 }
 
 /// The keep-alive sweep point `mode=fixed,duration_ms=60000` builds the

@@ -14,8 +14,11 @@ use coldstarts::session::{
 };
 use coldstarts::Scenario;
 use faas_workload::replay::TraceReplayWorkload;
+use faas_workload::WorkloadSpec;
 use fntrace::csv::{cold_start_table_to_csv, function_table_to_csv, request_table_to_csv};
-use fntrace::{FunctionId, RegionId, RegionTrace, Runtime, TriggerType, MILLIS_PER_HOUR};
+use fntrace::{
+    FunctionId, RegionId, RegionTrace, Runtime, TraceDirPaths, TriggerType, MILLIS_PER_HOUR,
+};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -28,6 +31,12 @@ fn fixture_text(name: &str) -> String {
 
 fn fixture_trace() -> RegionTrace {
     RegionTrace::read_csv_dir(RegionId::new(7), &fixture_dir()).expect("fixture parses")
+}
+
+fn fixture_workload() -> WorkloadSpec {
+    TraceReplayWorkload::new()
+        .build(&fixture_trace())
+        .expect("the fixture spans minutes")
 }
 
 #[test]
@@ -78,7 +87,7 @@ fn fixture_fields_parse_to_the_expected_values() {
 
 #[test]
 fn fixture_replay_infers_the_hand_written_structure() {
-    let workload = TraceReplayWorkload::new().build(&fixture_trace());
+    let workload = fixture_workload();
     assert!(workload.is_replay());
     assert_eq!(workload.len(), 8);
     assert_eq!(workload.functions.len(), 2);
@@ -117,10 +126,9 @@ fn streamed_ingestion_yields_byte_identical_session_envelopes() {
             .run()
     };
 
-    let eager = run(Arc::new(ReplayTraceSource::from_trace(
-        "replay/r7",
-        &fixture_trace(),
-    )));
+    let eager = run(Arc::new(
+        ReplayTraceSource::from_trace("replay/r7", &fixture_trace()).expect("fixture lowers"),
+    ));
     let streamed_source =
         TraceDirSource::open("replay/r7", RegionId::new(7), &fixture_dir()).expect("fixture opens");
     let streamed = run(Arc::new(streamed_source));
@@ -139,8 +147,59 @@ fn streamed_ingestion_yields_byte_identical_session_envelopes() {
 }
 
 #[test]
+fn replays_never_read_the_request_csv_after_open() {
+    // A copy of the fixture directory whose request CSV is deleted as soon
+    // as the source is open: the disk stream, a session and the materialised
+    // workload must all come from what the open kept, and still equal the
+    // eager replay byte for byte.
+    let region = RegionId::new(7);
+    let dir = std::env::temp_dir().join(format!("replay_golden_csv_once_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("creating the fixture copy");
+    let fixture = TraceDirPaths::new(region, &fixture_dir());
+    let copy = TraceDirPaths::new(region, &dir);
+    for (from, to) in [
+        (&fixture.requests, &copy.requests),
+        (&fixture.cold_starts, &copy.cold_starts),
+        (&fixture.functions, &copy.functions),
+    ] {
+        std::fs::copy(from, to).expect("copying the fixture");
+    }
+    let streamed = TraceDirSource::open("replay/r7", region, &dir).expect("fixture opens");
+    std::fs::remove_file(&copy.requests).expect("deleting the request CSV");
+
+    let eager =
+        ReplayTraceSource::from_trace("replay/r7", &fixture_trace()).expect("fixture lowers");
+    let events: Vec<_> = streamed
+        .streamed()
+        .stream()
+        .expect("the stream needs no CSV")
+        .collect();
+    assert_eq!(events, eager.spec().events);
+
+    let envelope = |source: Arc<dyn WorkloadSource>| {
+        ExperimentSession::new()
+            .scenarios(&[Scenario::Baseline, Scenario::TimerPrewarm])
+            .source_arcs(std::iter::once(source))
+            .with_seeds(vec![5])
+            .with_threads(2)
+            .run()
+            .envelope("replay")
+            .to_json()
+    };
+    let streamed = Arc::new(streamed);
+    assert_eq!(
+        envelope(Arc::new(eager.clone())),
+        envelope(Arc::clone(&streamed) as Arc<dyn WorkloadSource>),
+        "serialised envelopes must be byte-identical"
+    );
+    assert_eq!(*streamed.workload(0), **eager.spec());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
-    let workload = Arc::new(TraceReplayWorkload::new().build(&fixture_trace()));
+    let workload = Arc::new(fixture_workload());
     // Real worker threads so parallel scheduling is actually exercised.
     let session = ExperimentSession::new()
         .scenarios(&[

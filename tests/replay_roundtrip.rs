@@ -64,7 +64,8 @@ fn preset_to_trace_to_replay_roundtrip_stays_within_one_percent() {
     let replayed = TraceReplayWorkload::new()
         .with_profile(preset.profile(&RegionProfile::r2()))
         .with_calibration(preset.calibration(1))
-        .build(&parsed);
+        .build(&parsed)
+        .expect("a one-day trace fits a calibration");
     assert!(replayed.is_replay());
     // Every admitted request becomes exactly one replayed event.
     assert_eq!(replayed.len() as u64, direct.requests);
@@ -118,7 +119,8 @@ fn full_policy_sweep_runs_end_to_end_on_a_replayed_trace() {
         TraceReplayWorkload::new()
             .with_profile(ScenarioPreset::Bursty.profile(&RegionProfile::r2()))
             .with_calibration(ScenarioPreset::Bursty.calibration(1))
-            .build(&trace.expect("trace recorded")),
+            .build(&trace.expect("trace recorded"))
+            .expect("a one-day trace fits a calibration"),
     );
 
     // Sweep two policy families over one preset plus the replayed trace.

@@ -63,7 +63,7 @@ fn replay_source(seed: u64) -> ReplayTraceSource {
         ..synth_spec(3)
     }
     .generate();
-    ReplayTraceSource::from_trace("replay-synth-r3", &trace)
+    ReplayTraceSource::from_trace("replay-synth-r3", &trace).expect("a synthesized trace lowers")
 }
 
 /// Asserts parallel == sequential == repeat == materialised, byte for byte.
