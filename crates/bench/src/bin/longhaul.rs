@@ -79,7 +79,8 @@ fn usage() -> String {
      --materialize    build the full event vector first (eager baseline);\n\
      \x20               with --trace-dir, parse the whole request table first\n\
      --max-rss-kb     fail if peak RSS (VmHWM) exceeds this many kB\n\
-     --trace-dir      replay an on-disk CSV fileset, streamed from disk\n\
+     --trace-dir      replay an on-disk CSV fileset, streamed from disk;\n\
+     \x20               its horizon is the fileset's (--days, --preset unused)\n\
      --write-trace    generate a synthetic CSV fileset into DIR and exit\n\
      --trace-functions  functions in the --write-trace fileset (default 40)\n\
      --trace-rpd      mean requests/day per function for --write-trace\n\
@@ -191,12 +192,22 @@ fn main() -> ExitCode {
     } else {
         "streamed"
     };
-    println!(
-        "longhaul: mode={mode} preset={} region={} days={days} seed={}",
-        args.preset.name(),
-        args.region,
-        args.seed,
-    );
+    match &args.trace_dir {
+        // A fileset sets its own horizon, so the preset and `--days` do not
+        // apply; the day count is printed once the trace is open.
+        Some(dir) => println!(
+            "longhaul: mode={mode} trace_dir={} region={} seed={}",
+            dir.display(),
+            args.region,
+            args.seed,
+        ),
+        None => println!(
+            "longhaul: mode={mode} preset={} region={} days={days} seed={}",
+            args.preset.name(),
+            args.region,
+            args.seed,
+        ),
+    }
 
     // Trace recording would itself accumulate one record per request —
     // defeating the O(1)-memory point of the run — so it stays off.
@@ -233,9 +244,10 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "longhaul: materialized {} events ({} MiB event vector)",
+                "longhaul: materialized {} events ({} MiB event vector) days={}",
                 workload.len(),
                 (workload.len() * std::mem::size_of::<faas_workload::WorkloadEvent>()) >> 20,
+                workload.calibration.duration_days,
             );
             spec.run(&workload).0
         } else {
@@ -247,10 +259,11 @@ fn main() -> ExitCode {
                 }
             };
             println!(
-                "longhaul: streaming {} trace requests over {} functions from {}",
+                "longhaul: streaming {} trace requests over {} functions from {} days={}",
                 streamed.request_count(),
                 streamed.header().functions.len(),
                 dir.display(),
+                streamed.header().calibration.duration_days,
             );
             println!("longhaul: open_passes={}", streamed.open_passes());
             match streamed.stream() {

@@ -15,10 +15,9 @@
 //! an on-disk CSV fileset in the public data-release layout instead — opened
 //! through the streaming `TraceDirSource`, which parses the request CSV once
 //! and spills it to a temporary file, so every session cell reads its events
-//! from disk instead of materialising the request table.
-//! Chunked streaming runs as a second session over `ChunkSource::split`
-//! windows (which needs the materialised base workload; the primary cells do
-//! not).
+//! from disk and nothing materialises the request table: the envelope's
+//! `replay` counts come from the lowered header and its stream's exact
+//! length.
 //!
 //! The report is written as `BENCH_replay.json` in the shared
 //! `faas-coldstarts/session/v1` envelope (kind `replay`) that CI validates
@@ -28,10 +27,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use coldstarts::session::envelope::{cells_value, JsonValue};
+use coldstarts::session::envelope::JsonValue;
 use coldstarts::session::{
-    seeds, ChunkSource, ExperimentSession, PolicyConfig, ProgressLog, ReplayTraceSource,
-    TraceDirSource, WorkloadSource,
+    seeds, ExperimentSession, ProgressLog, ReplayTraceSource, TraceDirSource, WorkloadSource,
 };
 use coldstarts::Scenario;
 use faas_platform::{PlatformConfig, SimReport, SimulationSpec};
@@ -39,7 +37,7 @@ use faas_workload::population::PopulationConfig;
 use faas_workload::profile::RegionProfile;
 use faas_workload::replay::TraceReplayWorkload;
 use faas_workload::{ScenarioPreset, WorkloadSpec};
-use fntrace::{RegionId, RegionTrace, MILLIS_PER_HOUR};
+use fntrace::{RegionId, RegionTrace};
 
 struct Args {
     smoke: bool,
@@ -251,12 +249,20 @@ fn main() -> ExitCode {
             }
         },
     };
-    let workload = source.workload(args.seed);
+    // The lowered header and its stream's exact length describe the replay
+    // without collecting its events.
+    let (header, events) = {
+        let lowered = source.lower(args.seed);
+        let events = lowered
+            .stream
+            .events_hint()
+            .expect("replay streams know their length");
+        (lowered.header, events)
+    };
     eprintln!(
-        "replaying {} events over {} functions (region {}, source {source_origin})",
-        workload.len(),
-        workload.functions.len(),
-        workload.region.index(),
+        "replaying {events} events over {} functions (region {}, source {source_origin})",
+        header.functions.len(),
+        header.region.index(),
     );
 
     let scenarios = if args.smoke {
@@ -276,25 +282,8 @@ fn main() -> ExitCode {
         .with_seeds(vec![args.seed])
         .with_threads(args.threads);
     let mut progress = ProgressLog::stderr();
-    let (report, mut perf) = session.run_timed(&mut [&mut progress]);
+    let (report, perf) = session.run_timed(&mut [&mut progress]);
     print!("{}", report.render());
-
-    // Chunked streaming: a second session over the chunk windows under the
-    // baseline scenario. Each chunk cell streams its window straight off the
-    // shared base workload — no per-chunk event copies.
-    let chunk_sources = ChunkSource::split(&workload, MILLIS_PER_HOUR);
-    let chunk_events: Vec<u64> = chunk_sources.iter().map(|c| c.len() as u64).collect();
-    let chunk_session = ExperimentSession::new()
-        .policy(PolicyConfig::scenario(Scenario::Baseline))
-        .source_arcs(
-            chunk_sources
-                .into_iter()
-                .map(|c| Arc::new(c) as Arc<dyn WorkloadSource>),
-        )
-        .with_seeds(vec![args.seed])
-        .with_threads(args.threads);
-    let (chunk_report, chunk_perf) = chunk_session.run_timed(&mut []);
-    perf.cells.extend(chunk_perf.cells);
 
     let baseline = &report
         .cells
@@ -318,12 +307,18 @@ fn main() -> ExitCode {
     let mut envelope = report
         .envelope("replay")
         .with("source", JsonValue::str(&source_origin))
-        .with("preset", JsonValue::str(args.preset.name()))
-        .with("region", JsonValue::U64(u64::from(workload.region.index())))
+        .with(
+            "preset",
+            match args.trace_dir {
+                Some(_) => JsonValue::Null,
+                None => JsonValue::str(args.preset.name()),
+            },
+        )
+        .with("region", JsonValue::U64(u64::from(header.region.index())))
         .with("seed", JsonValue::U64(args.seed))
         .with(
             "days",
-            JsonValue::U64(u64::from(workload.calibration.duration_days)),
+            JsonValue::U64(u64::from(header.calibration.duration_days)),
         )
         .with(
             "trace",
@@ -336,8 +331,8 @@ fn main() -> ExitCode {
         .with(
             "replay",
             JsonValue::object(vec![
-                ("events", JsonValue::U64(workload.len() as u64)),
-                ("functions", JsonValue::U64(workload.functions.len() as u64)),
+                ("events", JsonValue::U64(events)),
+                ("functions", JsonValue::U64(header.functions.len() as u64)),
             ]),
         );
     envelope.push(
@@ -372,33 +367,8 @@ fn main() -> ExitCode {
                 .collect(),
         ),
     );
-    envelope.push(
-        "chunks",
-        JsonValue::object(vec![
-            ("chunk_ms", JsonValue::U64(MILLIS_PER_HOUR)),
-            ("count", JsonValue::U64(chunk_events.len() as u64)),
-            (
-                "max_events",
-                JsonValue::U64(chunk_events.iter().copied().max().unwrap_or(0)),
-            ),
-            ("events", JsonValue::U64(chunk_events.iter().sum())),
-        ]),
-    );
-    envelope.push(
-        "chunk_cells",
-        cells_value(chunk_report.cells.iter().map(|c| {
-            (
-                c.policy.as_str(),
-                c.source.as_str(),
-                c.seed,
-                c.region.index(),
-                &c.report,
-            )
-        })),
-    );
-    // Throughput counters (scenario + chunk cells) for CI's perf gate; the
-    // block rides after the deterministic payload because wall-clock values
-    // differ run to run.
+    // Throughput counters for CI's perf gate; the block rides after the
+    // deterministic payload because wall-clock values differ run to run.
     eprintln!(
         "throughput: {} events in {:.0} ms of cell time ({:.0} events/sec)",
         perf.total_events(),

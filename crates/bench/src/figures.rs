@@ -1,6 +1,5 @@
 //! One generator per paper table / figure.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use coldstarts::pipeline::CharacterizationPipeline;
@@ -199,16 +198,6 @@ pub fn run_experiment(experiment: Experiment, ctx: &ExperimentContext, sink: &mu
         Experiment::PolicyAblation => policy_ablation(ctx, sink),
     }
     sink.blank();
-}
-
-/// Runs every experiment against a freshly generated context.
-pub fn run_all(scale: TraceScale, seed: u64, results_dir: Option<&Path>) -> OutputSink {
-    let ctx = ExperimentContext::generate(scale, seed);
-    let mut sink = OutputSink::new(results_dir);
-    for experiment in all_experiments() {
-        run_experiment(experiment, &ctx, &mut sink);
-    }
-    sink
 }
 
 fn table1(ctx: &ExperimentContext, sink: &mut OutputSink) {

@@ -18,14 +18,6 @@ use fntrace::{
 
 use super::CdfSummary;
 
-/// Labels of the component columns, in the paper's order.
-pub const COMPONENT_LABELS: [&str; 4] = [
-    "pod alloc. time",
-    "deploy code time",
-    "deploy dep. time",
-    "scheduling time",
-];
-
 /// Figure 11 panel for one region.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComponentTimeSeries {

@@ -59,15 +59,6 @@ impl CdfSummary {
     }
 }
 
-/// A labelled CDF summary (one per group in a grouped figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LabelledSummary {
-    /// Group label (region, runtime, trigger group, configuration, ...).
-    pub label: String,
-    /// Distribution summary for the group.
-    pub summary: CdfSummary,
-}
-
 /// A labelled time series (one per group in a stacked / multi-line figure).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LabelledSeries {

@@ -89,8 +89,8 @@ use crate::sweep::SweepConfig;
 pub use envelope::{Envelope, JsonValue};
 pub use sink::{CellCollector, ProgressLog, ReportSink};
 pub use source::{
-    ChunkSource, FixedWorkloadSource, LoweredWorkload, PresetSource, RegionSource,
-    ReplayTraceSource, SourceKind, SynthTraceSource, TraceDirSource, WorkloadSource,
+    FixedWorkloadSource, LoweredWorkload, PresetSource, RegionSource, ReplayTraceSource,
+    SourceKind, SynthTraceSource, TraceDirSource, WorkloadSource,
 };
 
 /// One typed policy configuration a session evaluates.

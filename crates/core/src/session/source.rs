@@ -16,7 +16,6 @@
 //! | [`ReplayTraceSource`] | A replay-tagged workload lowered from trace records |
 //! | [`SynthTraceSource`] | A seeded [`fntrace::synth`] trace, lowered per seed |
 //! | [`FixedWorkloadSource`] | Any pre-built workload, shared as-is |
-//! | [`ChunkSource`] | One time window of a longer workload |
 //!
 //! The sweep's `ReplaySource` list lowers into [`ReplayTraceSource`]s and its
 //! presets × regions into [`PresetSource`]s.
@@ -87,15 +86,6 @@ impl LoweredWorkload {
     pub fn from_spec(spec: Arc<WorkloadSpec>) -> Self {
         Self {
             stream: Box::new(SpecStream::new(Arc::clone(&spec))),
-            header: spec,
-        }
-    }
-
-    /// Lowers one chunk window `[start, end)` of a shared base spec. The
-    /// stream covers only the window; the header stays the shared base.
-    pub fn from_spec_range(spec: Arc<WorkloadSpec>, start: usize, end: usize) -> Self {
-        Self {
-            stream: Box::new(SpecStream::range(Arc::clone(&spec), start, end)),
             header: spec,
         }
     }
@@ -350,9 +340,9 @@ impl WorkloadSource for ReplayTraceSource {
 /// the last clone of the source drops. The seed is ignored, exactly as for
 /// [`ReplayTraceSource`]: the trace is a fixed artifact.
 ///
-/// `workload()` — the materialising oracle used by chunk splitting and
-/// equality tests — collects the disk stream once and memoises it; sessions
-/// that only call [`lower`](WorkloadSource::lower) never pay that cost.
+/// `workload()` — the materialising oracle equality tests compare against —
+/// collects the disk stream once and memoises it; sessions, which only call
+/// [`lower`](WorkloadSource::lower), never pay that cost.
 #[derive(Debug)]
 pub struct TraceDirSource {
     label: String,
@@ -373,7 +363,10 @@ impl Clone for TraceDirSource {
 
 impl TraceDirSource {
     /// Opens `dir` (the [`RegionTrace::write_csv_dir`] layout) with a
-    /// default [`TraceReplayWorkload`] builder and reorder window.
+    /// default [`TraceReplayWorkload`] builder. For a configured builder
+    /// (profile or calibration overrides), wrap its
+    /// [`open_csv_dir`](TraceReplayWorkload::open_csv_dir) in
+    /// [`from_streamed`](Self::from_streamed).
     pub fn open(
         label: impl Into<String>,
         region: RegionId,
@@ -382,21 +375,6 @@ impl TraceDirSource {
         Ok(Self::from_streamed(
             label,
             TraceReplayWorkload::new().open_csv_dir(region, dir)?,
-        ))
-    }
-
-    /// Opens `dir` with a configured builder (profile or calibration
-    /// overrides) and an explicit reorder window.
-    pub fn open_with(
-        label: impl Into<String>,
-        builder: &TraceReplayWorkload,
-        region: RegionId,
-        dir: &Path,
-        window_ms: u64,
-    ) -> Result<Self, TraceStreamError> {
-        Ok(Self::from_streamed(
-            label,
-            builder.open_csv_dir_with_window(region, dir, window_ms)?,
         ))
     }
 
@@ -579,96 +557,11 @@ impl WorkloadSource for FixedWorkloadSource {
     }
 }
 
-/// One time window of a longer workload, materialised on demand.
-///
-/// [`ChunkSource::split`] produces one source per non-empty window of
-/// `chunk_ms` (the windows of [`WorkloadSpec::chunked`]); each source holds
-/// only the shared base `Arc` plus an index range, and copies out exactly
-/// its own window's events when the session materialises the column. A
-/// session over chunk sources therefore holds, beyond the shared base, one
-/// extra copy of the event stream in total (the chunk columns together)
-/// plus a per-chunk copy of the function table and profile, all resident
-/// for the duration of the run; every chunk simulates as an independent
-/// cell.
-#[derive(Debug, Clone)]
-pub struct ChunkSource {
-    base: Arc<WorkloadSpec>,
-    start: usize,
-    end: usize,
-    label: String,
-}
-
-impl ChunkSource {
-    /// Splits `base` into per-window sources labelled `chunk/<index>`.
-    ///
-    /// The windows are exactly those of [`WorkloadSpec::chunked`] (via
-    /// [`WorkloadSpec::chunk_ranges`]): every source is non-empty and
-    /// confined to one half-open `chunk_ms` window; `chunk_ms == 0` yields
-    /// the whole stream as a single source.
-    pub fn split(base: &Arc<WorkloadSpec>, chunk_ms: u64) -> Vec<ChunkSource> {
-        base.chunk_ranges(chunk_ms)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (start, end))| ChunkSource {
-                base: Arc::clone(base),
-                start,
-                end,
-                label: format!("chunk/{i:04}"),
-            })
-            .collect()
-    }
-
-    /// Timestamp of the chunk's first event, in milliseconds.
-    pub fn start_ms(&self) -> u64 {
-        self.base.events[self.start].timestamp_ms
-    }
-
-    /// Number of events in the chunk.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the chunk holds no events (never true for split output).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl WorkloadSource for ChunkSource {
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn kind(&self) -> SourceKind {
-        SourceKind::Fixed
-    }
-
-    fn workload(&self, _seed: u64) -> Arc<WorkloadSpec> {
-        // Field-by-field so only this window's events are copied —
-        // struct-update syntax would clone the base's full event stream per
-        // chunk just to throw it away.
-        Arc::new(WorkloadSpec {
-            region: self.base.region,
-            profile: self.base.profile.clone(),
-            calibration: self.base.calibration,
-            functions: self.base.functions.clone(),
-            events: self.base.events[self.start..self.end].to_vec(),
-            source: self.base.source,
-        })
-    }
-
-    fn lower(&self, _seed: u64) -> LoweredWorkload {
-        // The streamed chunk is a cursor over the shared base — unlike
-        // `workload`, it copies nothing at all.
-        LoweredWorkload::from_spec_range(Arc::clone(&self.base), self.start, self.end)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fntrace::synth::SynthShape;
-    use fntrace::{RegionId, MILLIS_PER_HOUR};
+    use fntrace::RegionId;
 
     fn tiny_population() -> PopulationConfig {
         PopulationConfig {
@@ -808,39 +701,6 @@ mod tests {
         assert_eq!(a, b, "same seed, same workload");
         assert_ne!(a, c, "the seed axis must vary the trace");
         assert!(a.is_replay());
-    }
-
-    #[test]
-    fn chunk_sources_cover_every_event_exactly_once() {
-        let source = SynthTraceSource::new(synth_spec());
-        let base = source.workload(3);
-        let chunks = ChunkSource::split(&base, MILLIS_PER_HOUR);
-        assert!(chunks.len() > 1);
-        // Windows agree with WorkloadSpec::chunked exactly.
-        let expected: Vec<usize> = base
-            .chunked(MILLIS_PER_HOUR)
-            .iter()
-            .map(|c| c.len())
-            .collect();
-        let actual: Vec<usize> = chunks.iter().map(ChunkSource::len).collect();
-        assert_eq!(actual, expected);
-        assert_eq!(ChunkSource::split(&base, 0).len(), 1);
-        let total: usize = chunks.iter().map(ChunkSource::len).sum();
-        assert_eq!(total, base.len());
-        let mut rebuilt = Vec::new();
-        for (i, chunk) in chunks.iter().enumerate() {
-            assert!(!chunk.is_empty());
-            assert_eq!(chunk.label(), format!("chunk/{i:04}"));
-            let spec = chunk.workload(0);
-            assert_eq!(spec.events.len(), chunk.len());
-            assert_eq!(spec.events[0].timestamp_ms, chunk.start_ms());
-            rebuilt.extend(spec.events.iter().copied());
-        }
-        assert_eq!(rebuilt, base.events);
-        // Chunk windows are chronologically ordered.
-        for w in chunks.windows(2) {
-            assert!(w[0].start_ms() < w[1].start_ms());
-        }
     }
 
     #[test]

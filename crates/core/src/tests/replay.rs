@@ -1,4 +1,4 @@
-//! Trace replay sessions over a replay-tagged workload, whole and chunked.
+//! Trace replay sessions over a replay-tagged workload.
 
 mod tests {
     use std::sync::Arc;
@@ -6,9 +6,9 @@ mod tests {
     use faas_workload::replay::TraceReplayWorkload;
     use faas_workload::WorkloadSpec;
     use fntrace::synth::{SynthShape, SynthTraceSpec};
-    use fntrace::{RegionId, MILLIS_PER_HOUR};
+    use fntrace::RegionId;
 
-    use crate::session::{ChunkSource, ExperimentSession, ReplayTraceSource, WorkloadSource};
+    use crate::session::{ExperimentSession, ReplayTraceSource};
     use crate::Scenario;
 
     fn replayed_workload() -> Arc<WorkloadSpec> {
@@ -59,31 +59,5 @@ mod tests {
         let sequential = grid.with_threads(1).run();
         assert_eq!(parallel, sequential);
         assert_eq!(parallel.render(), sequential.render());
-    }
-
-    #[test]
-    fn chunked_replay_covers_every_event_once() {
-        let workload = replayed_workload();
-        let chunks = ChunkSource::split(&workload, MILLIS_PER_HOUR);
-        assert!(chunks.len() > 1);
-        for w in chunks.windows(2) {
-            assert!(w[0].start_ms() < w[1].start_ms());
-        }
-        let session = ExperimentSession::new()
-            .scenarios(&[Scenario::Baseline])
-            .source_arcs(
-                chunks
-                    .into_iter()
-                    .map(|c| Arc::new(c) as Arc<dyn WorkloadSource>),
-            )
-            .with_seeds(vec![3])
-            .with_threads(4);
-        let report = session.run();
-        let replayed: u64 = report.cells.iter().map(|c| c.report.events_processed).sum();
-        assert_eq!(replayed, workload.len() as u64);
-        let requests: u64 = report.cells.iter().map(|c| c.report.requests).sum();
-        assert_eq!(requests, workload.len() as u64);
-        // Chunked execution is deterministic across thread counts.
-        assert_eq!(report, session.with_threads(1).run());
     }
 }

@@ -105,11 +105,6 @@ impl Ecdf {
         (self.quantile(0.25), self.quantile(0.5), self.quantile(0.75))
     }
 
-    /// Borrowed view of the sorted observations.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Plot-ready series of `(x, F(x))` at each distinct observation.
     pub fn steps(&self) -> Vec<(f64, f64)> {
         let n = self.len() as f64;

@@ -176,11 +176,6 @@ impl Dataset {
         self.regions.get(&region)
     }
 
-    /// Mutable access to one region.
-    pub fn region_mut(&mut self, region: RegionId) -> Option<&mut RegionTrace> {
-        self.regions.get_mut(&region)
-    }
-
     /// All region ids in ascending order.
     pub fn region_ids(&self) -> Vec<RegionId> {
         self.regions.keys().copied().collect()

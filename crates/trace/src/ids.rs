@@ -2,22 +2,10 @@
 //!
 //! The released dataset hashes every identifier (pod, function, user,
 //! request) for privacy. We mirror that: identifiers are opaque 64-bit
-//! values, either assigned directly (synthetic traces) or derived from a
-//! string via FNV-1a ([`hash_name`]) when importing external data.
+//! values, read from the dataset's hashed columns or assigned directly
+//! (synthetic traces).
 
 use serde::{Deserialize, Serialize};
-
-/// FNV-1a 64-bit hash of a byte string, used to anonymize external IDs.
-pub fn hash_name(name: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -31,11 +19,6 @@ macro_rules! id_type {
             /// Wraps a raw 64-bit identifier.
             pub const fn new(raw: u64) -> Self {
                 Self(raw)
-            }
-
-            /// Derives an identifier by hashing a name (FNV-1a).
-            pub fn from_name(name: &str) -> Self {
-                Self(hash_name(name))
             }
 
             /// Returns the raw 64-bit value.
@@ -103,14 +86,6 @@ pub type ClusterId = u8;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hashing_is_stable_and_distinguishing() {
-        assert_eq!(hash_name("func-a"), hash_name("func-a"));
-        assert_ne!(hash_name("func-a"), hash_name("func-b"));
-        assert_eq!(FunctionId::from_name("f"), FunctionId::from_name("f"));
-        assert_ne!(FunctionId::from_name("f"), FunctionId::from_name("g"));
-    }
 
     #[test]
     fn raw_roundtrip_and_display() {

@@ -2,7 +2,7 @@
 //!
 //! This crate implements the three monitoring tables of the paper's Table 1 —
 //! request-level, pod-level (cold starts), and function-level — together with
-//! the identifier hashing, runtime / trigger / resource taxonomies, columnar
+//! the hashed identifiers, runtime / trigger / resource taxonomies, columnar
 //! storage, time binning, and CSV import/export in the layout of the public
 //! `sir-lab/data-release` dataset.
 //!
@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod azure;
 pub mod csv;
 pub mod dataset;
 pub mod ids;

@@ -60,8 +60,8 @@ use std::sync::Arc;
 use fntrace::csv::CsvError;
 use fntrace::stream::TraceReader;
 use fntrace::{
-    ColdStartRecord, Dataset, FunctionId, FunctionTable, PodId, RegionId, RegionTrace,
-    RequestRecord, TraceDirPaths, TriggerType, MILLIS_PER_DAY, MILLIS_PER_HOUR,
+    ColdStartRecord, FunctionId, FunctionTable, PodId, RegionId, RegionTrace, RequestRecord,
+    TraceDirPaths, TriggerType, MILLIS_PER_DAY, MILLIS_PER_HOUR,
 };
 
 use crate::population::FunctionSpec;
@@ -141,11 +141,6 @@ impl TraceReplayWorkload {
         Ok((spec, stream))
     }
 
-    /// Lowers every region of a dataset, in ascending region-id order.
-    pub fn build_dataset(&self, dataset: &Dataset) -> Result<Vec<WorkloadSpec>, TraceStreamError> {
-        dataset.regions().map(|trace| self.build(trace)).collect()
-    }
-
     /// The override, or the calibration covering a trace whose timestamps
     /// span `span` (`[min, max]`, `None` when empty): the whole days of
     /// `[0, max]`, at least one. A span of more days than a [`Calibration`]
@@ -188,7 +183,7 @@ pub enum TraceStreamError {
         timestamp_ms: u64,
         /// Largest timestamp seen before it.
         max_seen_ms: u64,
-        /// The configured reorder window.
+        /// The reorder window it was checked against.
         window_ms: u64,
     },
     /// The open's spill file (the request stream in replay order, see
@@ -262,8 +257,7 @@ impl std::fmt::Display for TraceStreamError {
             } => write!(
                 f,
                 "request record {seq} at {timestamp_ms}ms arrives more than {window_ms}ms \
-                 after later timestamps (max seen {max_seen_ms}ms); raise the reorder window \
-                 or sort the trace"
+                 after later timestamps (max seen {max_seen_ms}ms); sort the trace"
             ),
             TraceStreamError::FileChanged {
                 function,
@@ -1095,7 +1089,7 @@ impl<I: Iterator<Item = Result<RequestRecord, CsvError>>> Iterator for WindowedR
     }
 }
 
-/// Default reorder window for disk-backed replay: one hour of trace time.
+/// Reorder window of disk-backed replay: one hour of trace time.
 pub const DEFAULT_REPLAY_WINDOW_MS: u64 = MILLIS_PER_HOUR;
 
 /// First bytes of every spill file.
@@ -1387,7 +1381,9 @@ impl ArrivalStream for DiskReplayStream {
 
 impl TraceReplayWorkload {
     /// Opens a trace directory (the [`RegionTrace::write_csv_dir`] layout)
-    /// for streaming replay with the default one-hour reorder window.
+    /// for streaming replay. Request rows may be out of timestamp order by up
+    /// to [`DEFAULT_REPLAY_WINDOW_MS`] (one hour); anything worse is a
+    /// [`TraceStreamError::Disorder`].
     ///
     /// This is the larger-than-memory counterpart of
     /// [`RegionTrace::read_csv_dir`] + [`build_streamed`](Self::build_streamed).
@@ -1405,28 +1401,15 @@ impl TraceReplayWorkload {
         region: RegionId,
         dir: &Path,
     ) -> Result<StreamedTraceDir, TraceStreamError> {
-        self.open_csv_dir_with_window(region, dir, DEFAULT_REPLAY_WINDOW_MS)
+        self.open_spilling_to(region, dir, &std::env::temp_dir())
     }
 
-    /// [`open_csv_dir`](Self::open_csv_dir) with an explicit reorder window:
-    /// request rows may be out of timestamp order by up to `window_ms`
-    /// (anything worse is a [`TraceStreamError::Disorder`]).
-    pub fn open_csv_dir_with_window(
-        &self,
-        region: RegionId,
-        dir: &Path,
-        window_ms: u64,
-    ) -> Result<StreamedTraceDir, TraceStreamError> {
-        self.open_spilling_to(region, dir, window_ms, &std::env::temp_dir())
-    }
-
-    /// [`open_csv_dir_with_window`](Self::open_csv_dir_with_window) with the
-    /// spill file created in `spill_dir`.
+    /// [`open_csv_dir`](Self::open_csv_dir) with the spill file created in
+    /// `spill_dir`.
     fn open_spilling_to(
         &self,
         region: RegionId,
         dir: &Path,
-        window_ms: u64,
         spill_dir: &Path,
     ) -> Result<StreamedTraceDir, TraceStreamError> {
         let paths = TraceDirPaths::new(region, dir);
@@ -1440,7 +1423,7 @@ impl TraceReplayWorkload {
             builder.record_cold_start(&rec?);
         }
         let reader = TraceReader::<_, RequestRecord>::from_path(&paths.requests)?;
-        let ordered = WindowedReplayOrder::new(reader, window_ms);
+        let ordered = WindowedReplayOrder::new(reader, DEFAULT_REPLAY_WINDOW_MS);
         let spill = spill_requests(&mut builder, ordered, spill_dir)?;
         let calibration = self.calibration_for(builder.span_ms())?;
 
@@ -1859,7 +1842,7 @@ mod tests {
             trace.requests.push(request(1, 1, last_ms, 1_000_000));
             trace.write_csv_dir(&dir).unwrap();
             let streamed = TraceReplayWorkload::new()
-                .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+                .open_spilling_to(trace.region, &dir, &spills)
                 .unwrap_err();
             let eager = TraceReplayWorkload::new().build(&trace).unwrap_err();
             for err in [streamed, eager] {
@@ -1883,7 +1866,7 @@ mod tests {
         trace.write_csv_dir(&dir).unwrap();
         let spills = spill_dir(name);
         let streamed = TraceReplayWorkload::new()
-            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .open_spilling_to(trace.region, &dir, &spills)
             .unwrap();
         (dir, spills, streamed)
     }
@@ -1959,7 +1942,7 @@ mod tests {
         });
         late.write_csv_dir(&dir).unwrap();
         let err = TraceReplayWorkload::new()
-            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .open_spilling_to(trace.region, &dir, &spills)
             .unwrap_err();
         assert!(matches!(err, TraceStreamError::Disorder { .. }), "{err}");
         assert_eq!(files_in(&spills), Vec::<String>::new());
@@ -1971,7 +1954,7 @@ mod tests {
         text.push_str("not,a,request\n");
         std::fs::write(&requests, text).unwrap();
         let err = TraceReplayWorkload::new()
-            .open_spilling_to(trace.region, &dir, DEFAULT_REPLAY_WINDOW_MS, &spills)
+            .open_spilling_to(trace.region, &dir, &spills)
             .unwrap_err();
         assert!(
             matches!(err, TraceStreamError::Csv(CsvError::Parse { .. })),
@@ -2151,26 +2134,5 @@ mod tests {
         assert_eq!(builder.span_ms(), trace.time_span_ms());
         let streamed = builder.finish(&trace.functions, &calibration);
         assert_eq!(streamed, eager);
-    }
-
-    #[test]
-    fn build_dataset_lowers_every_region() {
-        let ds = fntrace::synth::dataset(&[
-            SynthTraceSpec {
-                region: RegionId::new(1),
-                functions: 4,
-                ..SynthTraceSpec::default()
-            },
-            SynthTraceSpec {
-                region: RegionId::new(2),
-                functions: 4,
-                ..SynthTraceSpec::default()
-            },
-        ]);
-        let workloads = TraceReplayWorkload::new().build_dataset(&ds).unwrap();
-        assert_eq!(workloads.len(), 2);
-        assert_eq!(workloads[0].region, RegionId::new(1));
-        assert_eq!(workloads[1].region, RegionId::new(2));
-        assert!(workloads.iter().all(|w| w.is_replay()));
     }
 }

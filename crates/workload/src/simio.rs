@@ -108,51 +108,6 @@ impl WorkloadSpec {
     pub fn is_replay(&self) -> bool {
         self.source == WorkloadSource::Replay
     }
-
-    /// Index ranges of the chunks [`chunked`](Self::chunked) returns: each
-    /// `(start, end)` is a non-empty half-open range into
-    /// [`events`](Self::events), confined to one `chunk_ms` window.
-    ///
-    /// This is the borrow-free form consumers that need owned or lazily
-    /// materialised chunks build on (the session layer's `ChunkSource`
-    /// holds ranges plus a shared `Arc` instead of slices).
-    pub fn chunk_ranges(&self, chunk_ms: u64) -> Vec<(usize, usize)> {
-        if self.events.is_empty() {
-            return Vec::new();
-        }
-        if chunk_ms == 0 {
-            return vec![(0, self.events.len())];
-        }
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        let mut boundary = self.events[0].timestamp_ms / chunk_ms;
-        for (i, e) in self.events.iter().enumerate() {
-            let b = e.timestamp_ms / chunk_ms;
-            if b != boundary {
-                out.push((start, i));
-                start = i;
-                boundary = b;
-            }
-        }
-        out.push((start, self.events.len()));
-        out
-    }
-
-    /// Splits the events into consecutive chunks of `chunk_ms` (useful for
-    /// streaming the workload through the simulator without holding derived
-    /// state for the whole month).
-    ///
-    /// Every returned chunk is non-empty and lies entirely inside one
-    /// half-open window `[k * chunk_ms, (k + 1) * chunk_ms)`, so an event
-    /// whose timestamp falls exactly on a window boundary starts a new chunk.
-    /// An empty workload yields no chunks; `chunk_ms == 0` yields the whole
-    /// event stream as a single chunk.
-    pub fn chunked(&self, chunk_ms: u64) -> Vec<&[WorkloadEvent]> {
-        self.chunk_ranges(chunk_ms)
-            .into_iter()
-            .map(|(start, end)| &self.events[start..end])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -190,6 +145,7 @@ mod tests {
             WorkloadSpec::generate(&RegionProfile::r2(), short_calibration(), &tiny_config(), 2);
         assert_ne!(a.len(), 0);
         assert_ne!(a, c);
+        assert!(!a.is_replay());
     }
 
     #[test]
@@ -201,88 +157,6 @@ mod tests {
         }
         assert_eq!(spec.region, RegionId::new(3));
         assert_eq!(spec.duration_ms(), short_calibration().duration_ms());
-    }
-
-    #[test]
-    fn chunking_preserves_all_events() {
-        let spec =
-            WorkloadSpec::generate(&RegionProfile::r2(), short_calibration(), &tiny_config(), 5);
-        let chunks = spec.chunked(fntrace::MILLIS_PER_HOUR);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, spec.len());
-        // Chunks are internally ordered and non-overlapping in time.
-        let mut last_end = 0;
-        for chunk in chunks.iter().filter(|c| !c.is_empty()) {
-            assert!(chunk[0].timestamp_ms >= last_end);
-            last_end = chunk.last().unwrap().timestamp_ms;
-        }
-        assert_eq!(spec.chunked(0).len(), 1);
-        // chunk_ranges is the index form of chunked, range for range.
-        let ranges = spec.chunk_ranges(fntrace::MILLIS_PER_HOUR);
-        assert_eq!(ranges.len(), chunks.len());
-        for ((start, end), chunk) in ranges.into_iter().zip(&chunks) {
-            assert_eq!(&spec.events[start..end], *chunk);
-        }
-        assert_eq!(spec.chunk_ranges(0), vec![(0, spec.len())]);
-    }
-
-    fn literal_spec(timestamps: &[u64]) -> WorkloadSpec {
-        let profile = RegionProfile::r2();
-        WorkloadSpec {
-            region: profile.region,
-            profile,
-            calibration: short_calibration(),
-            functions: Vec::new(),
-            events: timestamps
-                .iter()
-                .map(|&timestamp_ms| WorkloadEvent {
-                    timestamp_ms,
-                    function: fntrace::FunctionId::new(1),
-                })
-                .collect(),
-            source: WorkloadSource::Synthetic,
-        }
-    }
-
-    #[test]
-    fn chunking_an_empty_spec_yields_no_chunks() {
-        let empty = literal_spec(&[]);
-        assert!(empty.chunked(1000).is_empty());
-        assert!(empty.chunked(0).is_empty());
-        assert!(!empty.is_replay());
-    }
-
-    #[test]
-    fn chunk_boundary_exactly_at_an_event_timestamp_starts_a_new_chunk() {
-        // Events at 999 and 1000 with 1000 ms chunks must split exactly at
-        // the boundary; duplicate boundary timestamps stay together.
-        let spec = literal_spec(&[0, 999, 1000, 1000, 2500]);
-        let chunks = spec.chunked(1000);
-        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-        assert_eq!(sizes, vec![2, 2, 1]);
-        assert_eq!(chunks[1][0].timestamp_ms, 1000);
-        // Every chunk is non-empty and confined to one window.
-        for chunk in &chunks {
-            assert!(!chunk.is_empty());
-            let window = chunk[0].timestamp_ms / 1000;
-            assert!(chunk.iter().all(|e| e.timestamp_ms / 1000 == window));
-        }
-        // A single event sitting exactly on a boundary is its own chunk.
-        let lone = literal_spec(&[3000]);
-        let chunks = lone.chunked(1000);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].len(), 1);
-    }
-
-    #[test]
-    fn chunking_skips_empty_windows() {
-        let spec = literal_spec(&[10, 20, 5_000, 5_001]);
-        let chunks = spec.chunked(1000);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[1].len(), 2);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        assert_eq!(total, spec.len());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! | [`FunctionEventStream`] | one function's lazy timer / Poisson arrivals |
 //! | [`ReplayStream`] | trace request records, lowered in timestamp order |
 //! | [`SliceStream`] | a borrowed, already-sorted event slice |
-//! | [`SpecStream`] | a shared `Arc<WorkloadSpec>` (optionally one chunk window) |
+//! | [`SpecStream`] | a shared `Arc<WorkloadSpec>` |
 //! | [`StreamedWorkload`] | header + repeatable synthetic stream, no event vec |
 //!
 //! # Quick start: a 7-day horizon without the 7-day allocation
@@ -157,35 +157,20 @@ impl ArrivalStream for SliceStream<'_> {
     }
 }
 
-/// A shared materialised workload (or one chunk window of it) as a stream.
+/// A shared materialised workload as a stream.
 ///
 /// Holds the `Arc` plus a cursor — no event copying. This is how the session
-/// layer streams pre-built workloads (replayed traces, fixed specs) and how
-/// chunk sources stream one window of a shared base without duplicating it.
+/// layer streams pre-built workloads (replayed traces, fixed specs).
 #[derive(Debug, Clone)]
 pub struct SpecStream {
     spec: Arc<WorkloadSpec>,
     pos: usize,
-    end: usize,
 }
 
 impl SpecStream {
     /// Streams every event of the shared spec.
     pub fn new(spec: Arc<WorkloadSpec>) -> Self {
-        let end = spec.events.len();
-        Self { spec, pos: 0, end }
-    }
-
-    /// Streams one half-open index range of the shared spec's events (the
-    /// form [`WorkloadSpec::chunk_ranges`] produces). Out-of-bounds ends are
-    /// clamped.
-    pub fn range(spec: Arc<WorkloadSpec>, start: usize, end: usize) -> Self {
-        let end = end.min(spec.events.len());
-        Self {
-            spec,
-            pos: start.min(end),
-            end,
-        }
+        Self { spec, pos: 0 }
     }
 }
 
@@ -193,16 +178,13 @@ impl Iterator for SpecStream {
     type Item = WorkloadEvent;
 
     fn next(&mut self) -> Option<WorkloadEvent> {
-        if self.pos >= self.end {
-            return None;
-        }
-        let event = self.spec.events[self.pos];
+        let event = self.spec.events.get(self.pos).copied()?;
         self.pos += 1;
         Some(event)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.end - self.pos;
+        let remaining = self.spec.events.len() - self.pos;
         (remaining, Some(remaining))
     }
 }
@@ -213,7 +195,7 @@ impl ArrivalStream for SpecStream {
     }
 
     fn events_hint(&self) -> Option<u64> {
-        Some((self.end - self.pos) as u64)
+        Some((self.spec.events.len() - self.pos) as u64)
     }
 }
 
@@ -673,19 +655,6 @@ mod tests {
         let shared = Arc::new(spec);
         let from_spec: Vec<WorkloadEvent> = SpecStream::new(Arc::clone(&shared)).collect();
         assert_eq!(from_spec, shared.events);
-        // Ranged spec streams cover exactly the chunk windows.
-        let mut rebuilt = Vec::new();
-        for (start, end) in shared.chunk_ranges(MILLIS_PER_HOUR) {
-            let window = SpecStream::range(Arc::clone(&shared), start, end);
-            assert_eq!(window.events_hint(), Some((end - start) as u64));
-            rebuilt.extend(window);
-        }
-        assert_eq!(rebuilt, shared.events);
-        // Out-of-bounds ranges clamp instead of panicking.
-        assert_eq!(
-            SpecStream::range(Arc::clone(&shared), 0, usize::MAX).count(),
-            shared.events.len()
-        );
     }
 
     #[test]

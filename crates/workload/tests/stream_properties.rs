@@ -1,15 +1,13 @@
 //! Property-based tests for `faas_workload::stream`: the k-way heap merge
 //! must yield exactly the materialised event sequence — totally ordered by
 //! `(timestamp, function)`, stable for duplicate timestamps, covering every
-//! per-function arrival exactly once — and replay/spec streams must replay
-//! their backing stores verbatim.
-
-use std::sync::Arc;
+//! per-function arrival exactly once — and replay streams must replay their
+//! backing store verbatim.
 
 use faas_workload::population::PopulationConfig;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::replay::TraceReplayWorkload;
-use faas_workload::stream::{ArrivalStream, ReplayStream, SpecStream, StreamedWorkload};
+use faas_workload::stream::{ArrivalStream, ReplayStream, StreamedWorkload};
 use faas_workload::{WorkloadEvent, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -152,28 +150,5 @@ proptest! {
         let direct: Vec<WorkloadEvent> =
             ReplayStream::new(&trace, materialised.duration_ms()).collect();
         prop_assert_eq!(direct, materialised.events.clone());
-    }
-
-    #[test]
-    fn spec_stream_windows_partition_the_event_list(
-        seed in 0u64..500,
-        chunk_hours in 1u64..30,
-    ) {
-        let spec = Arc::new(WorkloadSpec::generate(
-            &RegionProfile::r2(),
-            calibration(1),
-            &population(12),
-            seed,
-        ));
-        let chunk_ms = chunk_hours * fntrace::MILLIS_PER_HOUR;
-        let mut rebuilt = Vec::new();
-        for (start, end) in spec.chunk_ranges(chunk_ms) {
-            let window = SpecStream::range(Arc::clone(&spec), start, end);
-            prop_assert_eq!(window.events_hint(), Some((end - start) as u64));
-            rebuilt.extend(window);
-        }
-        prop_assert_eq!(&rebuilt, &spec.events);
-        let whole: Vec<WorkloadEvent> = SpecStream::new(Arc::clone(&spec)).collect();
-        prop_assert_eq!(&whole, &spec.events);
     }
 }

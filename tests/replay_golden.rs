@@ -9,16 +9,12 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use coldstarts::session::{
-    ChunkSource, ExperimentSession, ReplayTraceSource, TraceDirSource, WorkloadSource,
-};
+use coldstarts::session::{ExperimentSession, ReplayTraceSource, TraceDirSource, WorkloadSource};
 use coldstarts::Scenario;
 use faas_workload::replay::TraceReplayWorkload;
 use faas_workload::WorkloadSpec;
 use fntrace::csv::{cold_start_table_to_csv, function_table_to_csv, request_table_to_csv};
-use fntrace::{
-    FunctionId, RegionId, RegionTrace, Runtime, TraceDirPaths, TriggerType, MILLIS_PER_HOUR,
-};
+use fntrace::{FunctionId, RegionId, RegionTrace, Runtime, TraceDirPaths, TriggerType};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -199,7 +195,6 @@ fn replays_never_read_the_request_csv_after_open() {
 
 #[test]
 fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
-    let workload = Arc::new(fixture_workload());
     // Real worker threads so parallel scheduling is actually exercised.
     let session = ExperimentSession::new()
         .scenarios(&[
@@ -207,7 +202,10 @@ fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
             Scenario::AdaptiveKeepAlive,
             Scenario::TimerPrewarm,
         ])
-        .source(ReplayTraceSource::new("replay/r7", Arc::clone(&workload)))
+        .source(ReplayTraceSource::new(
+            "replay/r7",
+            Arc::new(fixture_workload()),
+        ))
         .with_seeds(vec![5, 6])
         .with_threads(4);
     let parallel = session.run();
@@ -228,28 +226,4 @@ fn fixture_replay_simulation_is_byte_deterministic_across_grid_modes() {
         let attributed: u64 = cell.report.per_function.iter().map(|f| f.cold_starts).sum();
         assert_eq!(attributed, cell.report.cold_starts);
     }
-
-    // Chunked replay covers the same events deterministically: one cell per
-    // hour-long window, in chronological order.
-    let chunks = ChunkSource::split(&workload, MILLIS_PER_HOUR);
-    let chunked = ExperimentSession::new()
-        .scenarios(&[Scenario::Baseline])
-        .source_arcs(
-            chunks
-                .iter()
-                .map(|c| Arc::new(c.clone()) as Arc<dyn WorkloadSource>),
-        )
-        .with_seeds(vec![5])
-        .with_threads(4);
-    let chunk_report = chunked.run();
-    let total: u64 = chunk_report
-        .cells
-        .iter()
-        .map(|c| c.report.events_processed)
-        .sum();
-    assert_eq!(total, 8);
-    for w in chunks.windows(2) {
-        assert!(w[0].start_ms() < w[1].start_ms());
-    }
-    assert_eq!(chunk_report, chunked.with_threads(1).run());
 }

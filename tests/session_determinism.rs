@@ -163,27 +163,6 @@ fn every_source_lowers_to_the_stream_its_workload_materialises() {
 }
 
 #[test]
-fn chunk_sources_stream_their_windows_without_copying() {
-    let base = replay_source(31).workload(0);
-    let chunks = coldstarts::session::ChunkSource::split(&base, fntrace::MILLIS_PER_HOUR);
-    assert!(chunks.len() > 1);
-    let session = ExperimentSession::new()
-        .scenarios(&[Scenario::Baseline])
-        .source_arcs(
-            chunks
-                .into_iter()
-                .map(|c| Arc::new(c) as Arc<dyn WorkloadSource>),
-        )
-        .with_seeds(vec![7])
-        .with_threads(4);
-    assert_deterministic(&session);
-    // Every replayed event lands in exactly one chunk cell.
-    let report = session.run();
-    let total: u64 = report.cells.iter().map(|c| c.report.events_processed).sum();
-    assert_eq!(total, base.events.len() as u64);
-}
-
-#[test]
 fn timed_runs_count_every_streamed_event() {
     let session = ExperimentSession::new()
         .scenarios(&[Scenario::Baseline, Scenario::TimerPrewarm])
