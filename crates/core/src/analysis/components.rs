@@ -112,7 +112,7 @@ impl ComponentAnalysis {
     /// starts, one region per worker.
     pub fn compute(dataset: &Dataset, calibration: &Calibration) -> Self {
         let regions = dataset
-            .map_regions(|t| (!t.cold_starts.is_empty()).then(|| region_components(t, calibration)))
+            .map_regions(|t| region_components(t, calibration))
             .into_iter()
             .flatten()
             .collect();
@@ -191,7 +191,14 @@ pub fn validate_report_attribution(
     Ok(())
 }
 
-fn region_components(trace: &RegionTrace, calibration: &Calibration) -> RegionComponents {
+/// Figures 11–13 for one region, or `None` when it has no cold starts.
+pub(crate) fn region_components(
+    trace: &RegionTrace,
+    calibration: &Calibration,
+) -> Option<RegionComponents> {
+    if trace.cold_starts.is_empty() {
+        return None;
+    }
     let duration_ms = u64::from(calibration.duration_days).max(1) * MILLIS_PER_DAY;
 
     // Figure 11: hourly means.
@@ -308,12 +315,12 @@ fn region_components(trace: &RegionTrace, calibration: &Calibration) -> RegionCo
         })
         .collect();
 
-    RegionComponents {
+    Some(RegionComponents {
         region: trace.region.index(),
         time_series,
         correlations,
         by_size,
-    }
+    })
 }
 
 #[cfg(test)]

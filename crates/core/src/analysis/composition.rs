@@ -74,10 +74,19 @@ impl CompositionAnalysis {
 
     /// Runs the composition analysis on a region trace.
     pub fn compute_region(trace: &RegionTrace, calibration: &Calibration) -> Self {
+        Self::from_lives(trace, &PodLifetimes::from_trace(trace), calibration)
+    }
+
+    /// Runs the composition analysis on a region trace whose pod lives are
+    /// already joined.
+    pub(crate) fn from_lives(
+        trace: &RegionTrace,
+        lifetimes: &PodLifetimes,
+        calibration: &Calibration,
+    ) -> Self {
         let keep_alive_ms = (calibration.keep_alive_secs * 1000.0) as u64;
         let duration_ms = u64::from(calibration.duration_days).max(1) * MILLIS_PER_DAY;
         let binner = TimeBinner::new(0, duration_ms, MILLIS_PER_HOUR);
-        let lifetimes = PodLifetimes::from_trace(trace);
 
         // Group pod active intervals by each of the three groupings.
         let mut by_trigger: HashMap<String, Vec<(u64, u64)>> = HashMap::new();

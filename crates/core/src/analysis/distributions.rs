@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use faas_stats::dist::{ContinuousDistribution, LogNormal, Weibull};
 use faas_stats::ks::ks_statistic;
-use fntrace::{par, Dataset, RegionId};
+use fntrace::{par, Dataset, RegionId, RegionTrace};
 
 use super::CdfSummary;
 
@@ -55,30 +55,22 @@ pub struct DistributionAnalysis {
 impl DistributionAnalysis {
     /// Computes the analysis over the whole dataset: the per-region
     /// summaries one region per worker, then the two all-region fits side by
-    /// side. The pooled samples concatenate the regions in region order.
+    /// side.
     pub fn compute(dataset: &Dataset) -> Self {
-        let regions = dataset.map_regions(|trace| {
-            let durations = trace.cold_starts.cold_start_secs();
-            let iat: Vec<f64> = trace
-                .cold_starts
-                .inter_arrival_secs()
-                .into_iter()
-                .filter(|x| *x > 0.0)
-                .collect();
-            let summary = RegionDistribution {
-                region: trace.region.index(),
-                cold_start_secs: CdfSummary::from_values(&durations),
-                inter_arrival_secs: CdfSummary::from_values(&iat),
-            };
-            (summary, durations, iat)
-        });
+        Self::pool(dataset.map_regions(region_samples))
+    }
+
+    /// Assembles the analysis from every region's samples, in region order:
+    /// the pooled samples concatenate the regions in that order, and the two
+    /// all-region fits run side by side.
+    pub(crate) fn pool(regions: Vec<RegionSamples>) -> Self {
         let mut per_region = Vec::with_capacity(regions.len());
         let mut all_durations: Vec<f64> = Vec::new();
         let mut all_iat: Vec<f64> = Vec::new();
-        for (summary, durations, iat) in regions {
-            per_region.push(summary);
-            all_durations.extend(durations);
-            all_iat.extend(iat);
+        for region in regions {
+            per_region.push(region.summary);
+            all_durations.extend(region.durations);
+            all_iat.extend(region.inter_arrivals);
         }
         let fits = par::map(2, 0, |i| match i {
             0 => fit_lognormal(&all_durations),
@@ -94,6 +86,34 @@ impl DistributionAnalysis {
     /// Looks up one region's distribution summary.
     pub fn region(&self, region: RegionId) -> Option<&RegionDistribution> {
         self.per_region.iter().find(|r| r.region == region.index())
+    }
+}
+
+/// One region's Figure 10 summaries and the samples it adds to the pooled
+/// fits.
+pub(crate) struct RegionSamples {
+    summary: RegionDistribution,
+    durations: Vec<f64>,
+    inter_arrivals: Vec<f64>,
+}
+
+/// Figure 10's per-region step.
+pub(crate) fn region_samples(trace: &RegionTrace) -> RegionSamples {
+    let durations = trace.cold_starts.cold_start_secs();
+    let inter_arrivals: Vec<f64> = trace
+        .cold_starts
+        .inter_arrival_secs()
+        .into_iter()
+        .filter(|x| *x > 0.0)
+        .collect();
+    RegionSamples {
+        summary: RegionDistribution {
+            region: trace.region.index(),
+            cold_start_secs: CdfSummary::from_values(&durations),
+            inter_arrival_secs: CdfSummary::from_values(&inter_arrivals),
+        },
+        durations,
+        inter_arrivals,
     }
 }
 

@@ -54,7 +54,9 @@ impl HolidayAnalysis {
     /// Computes the per-day normalized pod and CPU series for every region,
     /// one region per worker.
     pub fn compute(dataset: &Dataset, calibration: &Calibration) -> Self {
-        let regions = dataset.map_regions(|trace| region_effect(trace, calibration));
+        let regions = dataset.map_regions(|trace| {
+            region_effect(trace, &PodLifetimes::from_trace(trace), calibration)
+        });
         Self {
             regions,
             calibration: *calibration,
@@ -62,12 +64,16 @@ impl HolidayAnalysis {
     }
 }
 
-fn region_effect(trace: &RegionTrace, calibration: &Calibration) -> RegionHolidayEffect {
+/// Figure 7 for one region, from its pod lives.
+pub(crate) fn region_effect(
+    trace: &RegionTrace,
+    lifetimes: &PodLifetimes,
+    calibration: &Calibration,
+) -> RegionHolidayEffect {
     let duration_ms = u64::from(calibration.duration_days).max(1) * MILLIS_PER_DAY;
     let binner = TimeBinner::new(0, duration_ms, MILLIS_PER_DAY);
 
     // Pods active per day.
-    let lifetimes = PodLifetimes::from_trace(trace);
     let keep_alive_ms = (calibration.keep_alive_secs * 1000.0) as u64;
     let pods = binner.count_active(lifetimes.active_intervals(keep_alive_ms));
 

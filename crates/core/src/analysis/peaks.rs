@@ -54,9 +54,7 @@ impl PeakAnalysis {
     /// present).
     pub fn compute(dataset: &Dataset, region_of_interest: fntrace::RegionId) -> Self {
         let region_peaks = dataset.map_regions(region_peaks);
-        let function_peakiness = dataset
-            .region(region_of_interest)
-            .or_else(|| dataset.regions().next())
+        let function_peakiness = peakiness_region(dataset, region_of_interest)
             .map(function_peakiness)
             .unwrap_or_default();
         Self {
@@ -88,7 +86,19 @@ impl PeakAnalysis {
     }
 }
 
-fn region_peaks(trace: &RegionTrace) -> RegionPeaks {
+/// The region Figure 6 is drawn for: the region of interest, or the first
+/// region when the dataset lacks it.
+pub(crate) fn peakiness_region(
+    dataset: &Dataset,
+    region_of_interest: fntrace::RegionId,
+) -> Option<&RegionTrace> {
+    dataset
+        .region(region_of_interest)
+        .or_else(|| dataset.regions().next())
+}
+
+/// Figure 5 for one region.
+pub(crate) fn region_peaks(trace: &RegionTrace) -> RegionPeaks {
     let span = trace.requests.time_span_ms();
     let (lo, hi) = span.unwrap_or((0, 1));
     let binner = TimeBinner::new(lo, hi + 1, MILLIS_PER_MIN);
@@ -141,7 +151,8 @@ fn circular_mean_hour(hours: &[f64]) -> f64 {
     hour
 }
 
-fn function_peakiness(trace: &RegionTrace) -> Vec<FunctionPeakiness> {
+/// Figure 6 for one region.
+pub(crate) fn function_peakiness(trace: &RegionTrace) -> Vec<FunctionPeakiness> {
     let span = trace.requests.time_span_ms();
     let Some((lo, hi)) = span else {
         return Vec::new();

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use fntrace::dataset::RegionSummary;
 use fntrace::{Dataset, RegionTrace, TimeBinner, MILLIS_PER_DAY, MILLIS_PER_MIN};
 
 use super::CdfSummary;
@@ -58,22 +59,25 @@ pub struct RegionStatistics {
     pub load_profiles: Vec<RegionLoadProfile>,
 }
 
+impl From<&RegionSummary> for RegionSizeRow {
+    fn from(summary: &RegionSummary) -> Self {
+        Self {
+            region: summary.region.index(),
+            functions: summary.functions,
+            requests: summary.requests,
+            pods: summary.pods,
+            cold_starts: summary.cold_starts,
+            users: summary.users,
+        }
+    }
+}
+
 impl RegionStatistics {
     /// Computes the statistics for every region of the dataset, one region
     /// per worker.
     pub fn compute(dataset: &Dataset) -> Self {
         let (sizes, load_profiles) = dataset
-            .map_regions(|trace| {
-                let size = RegionSizeRow {
-                    region: trace.region.index(),
-                    functions: trace.distinct_function_count() as u64,
-                    requests: trace.requests.len() as u64,
-                    pods: trace.distinct_pod_count() as u64,
-                    cold_starts: trace.cold_starts.len() as u64,
-                    users: trace.distinct_user_count() as u64,
-                };
-                (size, region_load_profile(trace))
-            })
+            .map_regions(|trace| (RegionSizeRow::from(&trace.summary()), load_profile(trace)))
             .into_iter()
             .unzip();
         Self {
@@ -88,7 +92,8 @@ impl RegionStatistics {
     }
 }
 
-fn region_load_profile(trace: &RegionTrace) -> RegionLoadProfile {
+/// Figures 3 and 4 for one region.
+pub(crate) fn load_profile(trace: &RegionTrace) -> RegionLoadProfile {
     let duration_days = trace
         .time_span_ms()
         .map(|(lo, hi)| ((hi - lo) as f64 / MILLIS_PER_DAY as f64).max(1.0 / 24.0))

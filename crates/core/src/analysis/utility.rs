@@ -55,8 +55,17 @@ impl UtilityAnalysis {
 
     /// Runs the analysis on a region trace.
     pub fn compute_region(trace: &RegionTrace, calibration: &Calibration) -> Self {
+        Self::from_lives(trace, &PodLifetimes::from_trace(trace), calibration)
+    }
+
+    /// Runs the analysis on a region trace whose pod lives are already
+    /// joined.
+    pub(crate) fn from_lives(
+        trace: &RegionTrace,
+        lifetimes: &PodLifetimes,
+        calibration: &Calibration,
+    ) -> Self {
         let keep_alive_ms = (calibration.keep_alive_secs * 1000.0) as u64;
-        let lifetimes = PodLifetimes::from_trace(trace);
 
         let mut all: Vec<f64> = Vec::new();
         let mut by_runtime: HashMap<String, Vec<f64>> = HashMap::new();

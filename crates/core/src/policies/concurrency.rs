@@ -60,7 +60,8 @@ impl Default for ConcurrencyAdvisor {
 }
 
 impl ConcurrencyAdvisor {
-    /// Produces recommendations sorted by the number of overflow cold starts.
+    /// Produces recommendations sorted by the number of overflow cold starts,
+    /// most first; functions with equal counts come in ascending id order.
     pub fn recommend(&self, trace: &RegionTrace) -> Vec<ConcurrencyRecommendation> {
         let lifetimes = PodLifetimes::from_trace(trace);
         // Index pod active intervals per function.
@@ -107,7 +108,7 @@ impl ConcurrencyAdvisor {
                 });
             }
         }
-        out.sort_by_key(|a| std::cmp::Reverse(a.overflow_cold_starts));
+        out.sort_by_key(|a| (std::cmp::Reverse(a.overflow_cold_starts), a.function));
         out
     }
 }
@@ -144,6 +145,40 @@ mod tests {
         // Sorted by overflow count, descending.
         for w in recs.windows(2) {
             assert!(w[0].overflow_cold_starts >= w[1].overflow_cold_starts);
+        }
+    }
+
+    #[test]
+    fn ties_come_back_in_ascending_function_order_on_every_call() {
+        let ds = SyntheticTraceBuilder::new()
+            .with_regions(vec![RegionProfile::r2()])
+            .with_scale(TraceScale::tiny())
+            .with_calibration(Calibration {
+                duration_days: 2,
+                ..Calibration::default()
+            })
+            .with_seed(2)
+            .build();
+        let trace = ds.region(RegionId::new(2)).unwrap();
+        let advisor = ConcurrencyAdvisor {
+            min_overflow: 1,
+            ..ConcurrencyAdvisor::default()
+        };
+        let recs = advisor.recommend(trace);
+        let ties = recs
+            .windows(2)
+            .filter(|w| w[0].overflow_cold_starts == w[1].overflow_cold_starts)
+            .count();
+        assert!(ties > 0, "the case must hold equal overflow counts");
+        for w in recs.windows(2) {
+            assert!(
+                (std::cmp::Reverse(w[0].overflow_cold_starts), w[0].function)
+                    < (std::cmp::Reverse(w[1].overflow_cold_starts), w[1].function)
+            );
+        }
+        // Each call hashes into fresh maps; the order must not follow them.
+        for _ in 0..5 {
+            assert_eq!(advisor.recommend(trace), recs);
         }
     }
 

@@ -5,15 +5,16 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use faas_workload::profile::Calibration;
-use fntrace::{Dataset, DatasetSummary, RegionId};
+use fntrace::{par, Dataset, DatasetSummary, RegionId, RegionTrace};
 
 use crate::analysis::attribution::AttributionAnalysis;
-use crate::analysis::components::ComponentAnalysis;
+use crate::analysis::components::{self, ComponentAnalysis, RegionComponents};
 use crate::analysis::composition::CompositionAnalysis;
-use crate::analysis::distributions::DistributionAnalysis;
-use crate::analysis::holiday::HolidayAnalysis;
-use crate::analysis::peaks::PeakAnalysis;
-use crate::analysis::regions::RegionStatistics;
+use crate::analysis::distributions::{self, DistributionAnalysis, RegionSamples};
+use crate::analysis::holiday::{self, HolidayAnalysis};
+use crate::analysis::peaks::{self, FunctionPeakiness, PeakAnalysis, RegionPeaks};
+use crate::analysis::pods::PodLifetimes;
+use crate::analysis::regions::{self, RegionLoadProfile, RegionSizeRow, RegionStatistics};
 use crate::analysis::utility::UtilityAnalysis;
 
 /// Everything the paper's evaluation section reports, computed from one
@@ -42,23 +43,134 @@ pub struct CharacterizationReport {
     pub region_of_interest: u16,
 }
 
+/// One result of the report's flat fan-out.
+enum Step {
+    Load(RegionLoadProfile),
+    Peaks(RegionPeaks),
+    Components(Option<RegionComponents>),
+    Samples(RegionSamples),
+    Composition(CompositionAnalysis),
+    Attribution(AttributionAnalysis),
+    Utility(UtilityAnalysis),
+    Peakiness(Vec<FunctionPeakiness>),
+}
+
+/// One item of the report's flat fan-out.
+type Item<'a> = Box<dyn Fn() -> Step + Sync + 'a>;
+
 impl CharacterizationReport {
-    /// Computes the full report.
+    /// Computes the full report: one pass per region, then one flat fan-out
+    /// over the remaining per-region and region-of-interest steps, then the
+    /// two pooled fits.
+    ///
+    /// The per-region pass joins each region's pod lives once, counts its
+    /// distinct functions, pods and users once for both Table 1 and
+    /// Figure 1, and derives Figure 7 from those lives; only the region of
+    /// interest keeps its lives, for Figures 8 and 17. Every step is the one
+    /// its analysis's own `compute` runs, so the report equals the analyses
+    /// computed one by one.
     pub fn compute(
         dataset: &Dataset,
         calibration: &Calibration,
         region_of_interest: RegionId,
     ) -> Self {
+        let mut summaries = Vec::with_capacity(dataset.region_count());
+        let mut holiday = Vec::with_capacity(dataset.region_count());
+        let mut roi_lives = None;
+        for (summary, effect, lives) in dataset.map_regions(|trace| {
+            let lives = PodLifetimes::from_trace(trace);
+            let effect = holiday::region_effect(trace, &lives, calibration);
+            let pods = lives.len() as u64;
+            // Other regions' lives go before the distinct counts allocate.
+            let lives = (trace.region == region_of_interest).then_some(lives);
+            (trace.summary_with_pods(pods), effect, lives)
+        }) {
+            summaries.push(summary);
+            holiday.push(effect);
+            roi_lives = roi_lives.or(lives);
+        }
+        let roi = dataset.region(region_of_interest).zip(roi_lives.as_ref());
+
+        // Largest steps first, so the workers finish close together.
+        let traces: Vec<&RegionTrace> = dataset.regions().collect();
+        let mut items: Vec<Item<'_>> = Vec::with_capacity(4 * traces.len() + 4);
+        if let Some((trace, lives)) = roi {
+            items.push(Box::new(move || {
+                Step::Attribution(AttributionAnalysis::compute_region(trace))
+            }));
+            items.push(Box::new(move || {
+                Step::Composition(CompositionAnalysis::from_lives(trace, lives, calibration))
+            }));
+            items.push(Box::new(move || {
+                Step::Utility(UtilityAnalysis::from_lives(trace, lives, calibration))
+            }));
+        }
+        if let Some(trace) = peaks::peakiness_region(dataset, region_of_interest) {
+            items.push(Box::new(move || {
+                Step::Peakiness(peaks::function_peakiness(trace))
+            }));
+        }
+        let per_region: [fn(&RegionTrace, &Calibration) -> Step; 4] = [
+            |trace, calibration| {
+                Step::Components(components::region_components(trace, calibration))
+            },
+            |trace, _| Step::Load(regions::load_profile(trace)),
+            |trace, _| Step::Peaks(peaks::region_peaks(trace)),
+            // Last: the samples stay alive until the pooled fits.
+            |trace, _| Step::Samples(distributions::region_samples(trace)),
+        ];
+        for step in per_region {
+            for &trace in &traces {
+                items.push(Box::new(move || step(trace, calibration)));
+            }
+        }
+
+        let mut load_profiles = Vec::with_capacity(traces.len());
+        let mut region_peaks = Vec::with_capacity(traces.len());
+        let mut component_regions = Vec::with_capacity(traces.len());
+        let mut samples = Vec::with_capacity(traces.len());
+        let (mut composition, mut attribution, mut utility) = (None, None, None);
+        let mut function_peakiness = Vec::new();
+        for step in par::map(items.len(), 0, |i| items[i]()) {
+            match step {
+                Step::Load(profile) => load_profiles.push(profile),
+                Step::Peaks(peaks) => region_peaks.push(peaks),
+                Step::Components(components) => component_regions.extend(components),
+                Step::Samples(region) => samples.push(region),
+                Step::Composition(c) => composition = Some(c),
+                Step::Attribution(a) => attribution = Some(a),
+                Step::Utility(u) => utility = Some(u),
+                Step::Peakiness(points) => function_peakiness = points,
+            }
+        }
+        // The region of interest's lives are done with: free them before the
+        // pooled fits copy and sort every region's samples.
+        drop(items);
+        drop(roi_lives);
+
         Self {
-            dataset_summary: dataset.summary(),
-            regions: RegionStatistics::compute(dataset),
-            peaks: PeakAnalysis::compute(dataset, region_of_interest),
-            holiday: HolidayAnalysis::compute(dataset, calibration),
-            composition: CompositionAnalysis::compute(dataset, region_of_interest, calibration),
-            distributions: DistributionAnalysis::compute(dataset),
-            components: ComponentAnalysis::compute(dataset, calibration),
-            attribution: AttributionAnalysis::compute(dataset, region_of_interest),
-            utility: UtilityAnalysis::compute(dataset, region_of_interest, calibration),
+            regions: RegionStatistics {
+                sizes: summaries.iter().map(RegionSizeRow::from).collect(),
+                load_profiles,
+            },
+            dataset_summary: DatasetSummary {
+                per_region: summaries,
+            },
+            peaks: PeakAnalysis {
+                region_peaks,
+                function_peakiness,
+            },
+            holiday: HolidayAnalysis {
+                regions: holiday,
+                calibration: *calibration,
+            },
+            composition,
+            distributions: DistributionAnalysis::pool(samples),
+            components: ComponentAnalysis {
+                regions: component_regions,
+            },
+            attribution,
+            utility,
             region_of_interest: region_of_interest.index(),
         }
     }

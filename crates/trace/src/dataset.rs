@@ -5,7 +5,7 @@
 //! captures the headline counts used in Figure 1 (requests, functions, pods
 //! per region) plus the cold-start totals.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -86,24 +86,48 @@ impl RegionTrace {
 
     /// Number of distinct pods appearing in either table.
     pub fn distinct_pod_count(&self) -> usize {
-        let mut pods: HashSet<_> = self.requests.records().iter().map(|r| r.pod).collect();
-        pods.extend(self.cold_starts.records().iter().map(|r| r.pod));
-        pods.len()
+        let requests = self.requests.records().iter().map(|r| r.pod.raw());
+        distinct(requests.chain(self.cold_starts.records().iter().map(|r| r.pod.raw())))
     }
 
     /// Number of distinct functions appearing in any table.
     pub fn distinct_function_count(&self) -> usize {
-        let mut fns: HashSet<_> = self.requests.records().iter().map(|r| r.function).collect();
-        fns.extend(self.cold_starts.records().iter().map(|r| r.function));
-        fns.extend(self.functions.iter().map(|m| m.function));
-        fns.len()
+        let requests = self.requests.records().iter().map(|r| r.function.raw());
+        let cold_starts = self.cold_starts.records().iter().map(|r| r.function.raw());
+        distinct(
+            requests
+                .chain(cold_starts)
+                .chain(self.functions.iter().map(|m| m.function.raw())),
+        )
     }
 
     /// Number of distinct users appearing in any table.
     pub fn distinct_user_count(&self) -> usize {
-        let mut users: HashSet<_> = self.requests.records().iter().map(|r| r.user).collect();
-        users.extend(self.functions.iter().map(|m| m.user));
-        users.len()
+        let requests = self.requests.records().iter().map(|r| r.user.raw());
+        distinct(requests.chain(self.functions.iter().map(|m| m.user.raw())))
+    }
+
+    /// This region's summary counts (one row of Figure 1 / Table 1).
+    pub fn summary(&self) -> RegionSummary {
+        self.summary_with_pods(self.distinct_pod_count() as u64)
+    }
+
+    /// [`summary`](Self::summary) with the distinct pod count supplied by a
+    /// caller that already holds it, such as the length of a pod-lifetime
+    /// join over both event tables.
+    pub fn summary_with_pods(&self, pods: u64) -> RegionSummary {
+        RegionSummary {
+            region: self.region,
+            requests: self.requests.len() as u64,
+            cold_starts: self.cold_starts.len() as u64,
+            functions: self.distinct_function_count() as u64,
+            pods,
+            users: self.distinct_user_count() as u64,
+            duration_days: self
+                .time_span_ms()
+                .map(|(lo, hi)| (hi - lo) as f64 / crate::timebin::MILLIS_PER_DAY as f64)
+                .unwrap_or(0.0),
+        }
     }
 
     /// Writes the three tables as CSV files into `dir` using the public
@@ -152,6 +176,15 @@ impl RegionTrace {
             functions,
         })
     }
+}
+
+/// Number of distinct values among `ids`, counted by sorting them: trace ids
+/// are never hashed.
+fn distinct(ids: impl Iterator<Item = u64>) -> usize {
+    let mut ids: Vec<u64> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.len()
 }
 
 /// A multi-region dataset, keyed by region id.
@@ -228,21 +261,12 @@ impl Dataset {
         par::map(traces.len(), 0, |i| f(traces[i]))
     }
 
-    /// Per-region and total summary counts (Figure 1 / Table 1 overview).
+    /// Per-region and total summary counts (Figure 1 / Table 1 overview),
+    /// one [`RegionTrace::summary`] per region.
     pub fn summary(&self) -> DatasetSummary {
-        let per_region = self.map_regions(|trace| RegionSummary {
-            region: trace.region,
-            requests: trace.requests.len() as u64,
-            cold_starts: trace.cold_starts.len() as u64,
-            functions: trace.distinct_function_count() as u64,
-            pods: trace.distinct_pod_count() as u64,
-            users: trace.distinct_user_count() as u64,
-            duration_days: trace
-                .time_span_ms()
-                .map(|(lo, hi)| (hi - lo) as f64 / crate::timebin::MILLIS_PER_DAY as f64)
-                .unwrap_or(0.0),
-        });
-        DatasetSummary { per_region }
+        DatasetSummary {
+            per_region: self.map_regions(RegionTrace::summary),
+        }
     }
 
     /// Writes every region to CSV files under `dir` (one file set per region).

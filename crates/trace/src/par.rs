@@ -9,9 +9,10 @@
 //! before it is ready.
 //!
 //! This is the workspace's one parallel loop over independent items: the
-//! experiment session's cells, the synthetic multi-region build and the
+//! experiment session's cells, the synthetic multi-region build, the
 //! per-region analyses (through
-//! [`Dataset::map_regions`](crate::Dataset::map_regions)) all run on it. It
+//! [`Dataset::map_regions`](crate::Dataset::map_regions)) and the
+//! characterization report's flat fan-out of analysis steps all run on it. It
 //! never reads an option or the environment; `threads == 0` means one worker
 //! per available core.
 //!

@@ -41,7 +41,7 @@
 
 use faas_stats::rng::Xoshiro256pp;
 
-use crate::dataset::{Dataset, RegionTrace};
+use crate::dataset::RegionTrace;
 use crate::ids::{FunctionId, PodId, RegionId, RequestId, UserId};
 use crate::record::{ColdStartRecord, FunctionMeta, RequestRecord};
 use crate::timebin::{MILLIS_PER_DAY, MILLIS_PER_HOUR};
@@ -321,15 +321,6 @@ impl SynthTraceSpec {
     }
 }
 
-/// Generates a multi-region dataset from one spec per region.
-pub fn dataset(specs: &[SynthTraceSpec]) -> Dataset {
-    let mut ds = Dataset::new();
-    for spec in specs {
-        ds.insert_region(spec.generate());
-    }
-    ds
-}
-
 fn pick_weighted(table: &[(Runtime, f64)], rng: &mut Xoshiro256pp) -> Runtime {
     let total: f64 = table.iter().map(|(_, w)| w).sum();
     let mut x = rng.next_f64() * total;
@@ -418,21 +409,6 @@ mod tests {
         assert_eq!(loaded.cold_starts.records(), trace.cold_starts.records());
         assert_eq!(loaded.functions.len(), trace.functions.len());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn dataset_builder_covers_all_specs() {
-        let specs = [
-            tiny(SynthShape::Steady, 1),
-            SynthTraceSpec {
-                region: RegionId::new(7),
-                ..tiny(SynthShape::Diurnal, 2)
-            },
-        ];
-        let ds = dataset(&specs);
-        assert_eq!(ds.region_count(), 2);
-        assert!(ds.total_requests() > 0);
-        assert_eq!(ds.region_ids(), vec![RegionId::new(6), RegionId::new(7)]);
     }
 
     #[test]

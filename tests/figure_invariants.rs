@@ -3,11 +3,19 @@
 //! failures are reproducible), plus a byte-exact oracle that pins every field
 //! of one five-region characterization.
 
+use coldstarts::analysis::attribution::AttributionAnalysis;
+use coldstarts::analysis::components::ComponentAnalysis;
+use coldstarts::analysis::composition::CompositionAnalysis;
+use coldstarts::analysis::distributions::DistributionAnalysis;
+use coldstarts::analysis::holiday::HolidayAnalysis;
+use coldstarts::analysis::peaks::PeakAnalysis;
+use coldstarts::analysis::regions::RegionStatistics;
+use coldstarts::analysis::utility::UtilityAnalysis;
 use coldstarts::pipeline::CharacterizationPipeline;
 use coldstarts::CharacterizationReport;
 use faas_workload::profile::{Calibration, RegionProfile};
 use faas_workload::{SyntheticTraceBuilder, TraceScale};
-use fntrace::RegionId;
+use fntrace::{Dataset, RegionId};
 
 fn report_for_seed(seed: u64) -> CharacterizationReport {
     let calibration = Calibration {
@@ -157,25 +165,96 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The five paper regions over four tiny-scale days whose holiday covers
-/// days 1 and 2, so every analysis, the holiday split included, sees data.
-fn oracle_report() -> CharacterizationReport {
-    let calibration = Calibration {
-        duration_days: 4,
-        holiday_start_day: 1,
-        holiday_end_day: 3,
-        ..Calibration::default()
-    };
-    let dataset = SyntheticTraceBuilder::new()
+/// Four tiny-scale days whose holiday covers days 1 and 2, so every
+/// analysis, the holiday split included, sees data.
+const ORACLE_CALIBRATION: Calibration = Calibration {
+    duration_days: 4,
+    holiday_start_day: 1,
+    holiday_end_day: 3,
+    keep_alive_secs: 60.0,
+};
+
+/// The oracle's dataset: the five paper regions, or the given subset.
+fn oracle_dataset(regions: Option<Vec<RegionProfile>>) -> Dataset {
+    let builder = SyntheticTraceBuilder::new()
         .with_scale(TraceScale::tiny())
-        .with_calibration(calibration)
-        .with_seed(11)
-        .build();
+        .with_calibration(ORACLE_CALIBRATION)
+        .with_seed(11);
+    match regions {
+        Some(regions) => builder.with_regions(regions).build(),
+        None => builder.build(),
+    }
+}
+
+fn oracle_report() -> CharacterizationReport {
+    let dataset = oracle_dataset(None);
     assert_eq!(dataset.region_count(), 5);
     CharacterizationPipeline::new()
-        .with_calibration(calibration)
+        .with_calibration(ORACLE_CALIBRATION)
         .with_region_of_interest(RegionId::new(2))
         .analyze(&dataset)
+}
+
+/// The report as the nine standalone entry points compute it, one after
+/// another.
+fn assembled_report(
+    dataset: &Dataset,
+    calibration: &Calibration,
+    roi: RegionId,
+) -> CharacterizationReport {
+    CharacterizationReport {
+        dataset_summary: dataset.summary(),
+        regions: RegionStatistics::compute(dataset),
+        peaks: PeakAnalysis::compute(dataset, roi),
+        holiday: HolidayAnalysis::compute(dataset, calibration),
+        composition: CompositionAnalysis::compute(dataset, roi, calibration),
+        distributions: DistributionAnalysis::compute(dataset),
+        components: ComponentAnalysis::compute(dataset, calibration),
+        attribution: AttributionAnalysis::compute(dataset, roi),
+        utility: UtilityAnalysis::compute(dataset, roi, calibration),
+        region_of_interest: roi.index(),
+    }
+}
+
+/// The shared one-pass report equals, field for field, the analyses run
+/// one by one: on all five regions, on a dataset without the region of
+/// interest (whose single-region analyses are absent and whose Figure 6
+/// falls back to the first region), and on an empty dataset.
+#[test]
+fn report_equals_the_standalone_analyses() {
+    let roi = RegionId::new(2);
+    let cases = [
+        ("five regions", oracle_dataset(None)),
+        (
+            "no region of interest",
+            oracle_dataset(Some(vec![RegionProfile::r1(), RegionProfile::r3()])),
+        ),
+        ("empty", Dataset::new()),
+    ];
+    for (case, dataset) in &cases {
+        let report = CharacterizationReport::compute(dataset, &ORACLE_CALIBRATION, roi);
+        let parts = assembled_report(dataset, &ORACLE_CALIBRATION, roi);
+        assert_eq!(report.dataset_summary, parts.dataset_summary, "{case}");
+        assert_eq!(report.regions, parts.regions, "{case}");
+        assert_eq!(report.peaks, parts.peaks, "{case}");
+        assert_eq!(report.holiday, parts.holiday, "{case}");
+        assert_eq!(report.composition, parts.composition, "{case}");
+        assert_eq!(report.distributions, parts.distributions, "{case}");
+        assert_eq!(report.components, parts.components, "{case}");
+        assert_eq!(report.attribution, parts.attribution, "{case}");
+        assert_eq!(report.utility, parts.utility, "{case}");
+        assert_eq!(report.region_of_interest, parts.region_of_interest);
+        assert_eq!(report.regions.sizes.len(), dataset.region_count(), "{case}");
+        let has_roi = dataset.region(roi).is_some();
+        assert_eq!(report.composition.is_some(), has_roi, "{case}");
+        assert_eq!(report.attribution.is_some(), has_roi, "{case}");
+        assert_eq!(report.utility.is_some(), has_roi, "{case}");
+        assert_eq!(
+            report.peaks.function_peakiness.is_empty(),
+            dataset.region_count() == 0,
+            "{case}: Figure 6 has points whenever a region exists"
+        );
+    }
 }
 
 /// Pins one digest per report field, taken over its `{:?}` rendering: a
