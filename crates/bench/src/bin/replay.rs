@@ -282,7 +282,7 @@ fn main() -> ExitCode {
         .with_seeds(vec![args.seed])
         .with_threads(args.threads);
     let mut progress = ProgressLog::stderr();
-    let (report, perf) = session.run_timed(&mut [&mut progress]);
+    let report = session.run_with_sinks(&mut [&mut progress]);
     print!("{}", report.render());
 
     let baseline = &report
@@ -367,16 +367,6 @@ fn main() -> ExitCode {
                 .collect(),
         ),
     );
-    // Throughput counters for CI's perf gate; the block rides after the
-    // deterministic payload because wall-clock values differ run to run.
-    eprintln!(
-        "throughput: {} events in {:.0} ms of cell time ({:.0} events/sec)",
-        perf.total_events(),
-        perf.total_wall_ms(),
-        perf.events_per_sec(),
-    );
-    envelope.push("perf", perf.to_value());
-
     if let Err(e) = std::fs::write(&args.out, envelope.to_json()) {
         eprintln!("failed to write {}: {e}", args.out.display());
         return ExitCode::FAILURE;

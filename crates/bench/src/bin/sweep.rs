@@ -149,7 +149,7 @@ fn main() -> ExitCode {
         sweep.duration_days,
     );
     let mut progress = ProgressLog::stderr();
-    let (session_report, perf) = session.run_timed(&mut [&mut progress]);
+    let session_report = session.run_with_sinks(&mut [&mut progress]);
     let report = sweep.fold(session_report);
 
     print!("{}", report.render());
@@ -168,17 +168,7 @@ fn main() -> ExitCode {
         );
     }
 
-    eprintln!(
-        "throughput: {} events in {:.0} ms of cell time ({:.0} events/sec)",
-        perf.total_events(),
-        perf.total_wall_ms(),
-        perf.events_per_sec(),
-    );
-    // The perf block is appended after the deterministic payload: CI's
-    // bench-smoke job gates on its aggregate events/sec, and wall-clock
-    // noise must never perturb the diffable section above it.
-    let envelope = report.to_envelope().with("perf", perf.to_value());
-    if let Err(e) = std::fs::write(&args.out, envelope.to_json()) {
+    if let Err(e) = std::fs::write(&args.out, report.to_envelope().to_json()) {
         eprintln!("failed to write {}: {e}", args.out.display());
         return ExitCode::FAILURE;
     }

@@ -2,16 +2,18 @@
 //!
 //! Every table and figure of the paper's evaluation maps to one generator in
 //! [`figures`]; the `figures` binary runs one or all of them, printing the
-//! series/rows to stdout and writing CSV files under `results/`. The mapping
-//! from experiment id to generator is listed in `DESIGN.md` and the measured
-//! values are recorded in `EXPERIMENTS.md`.
+//! series/rows to stdout and writing CSV files under `results/`;
+//! [`all_experiments`] lists them. `README.md` shows how to run the
+//! binaries, and `ARCHITECTURE.md` maps each layer of the stack to its code.
 //!
-//! Four sibling binaries exercise the stack end to end and write the
-//! committed `BENCH_*.json` baselines that CI validates and perf-gates
-//! (schemas documented in `docs/bench-schemas.md`): `sweep` (policy grid),
-//! `replay` (synthesize → replay round trip), `scheduler` (timing-wheel
-//! microbenchmarks plus two end-to-end engine rows), and `longhaul`
-//! (month-scale O(1)-memory streaming runs).
+//! The crate has four binaries: `figures`, and three that drive the stack
+//! end to end. `sweep` (policy grid) and `replay` (synthesize → replay
+//! round trip) write the committed `BENCH_sweep.json` and
+//! `BENCH_replay.json`, which CI validates and requires a fresh smoke run
+//! to reproduce byte for byte (schemas in `docs/bench-schemas.md`);
+//! `longhaul` runs month-scale streaming simulations in O(1) memory and
+//! prints its wall time and peak RSS. Timings that compare two commits come
+//! from the repository benchmark, `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

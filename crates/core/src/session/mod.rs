@@ -31,10 +31,9 @@
 //! produce byte-identical [`SessionReport`]s — and therefore byte-identical
 //! [`envelope`](SessionReport::envelope) JSON — which
 //! `tests/session_determinism.rs` property-tests across every built-in
-//! source. [`run_timed`](ExperimentSession::run_timed) streams cells to
-//! sinks and additionally returns [`SessionPerf`] throughput counters
-//! (events, wall-clock, events/sec) for the envelope's optional `perf`
-//! block. [`SessionReport::outcomes`] turns one `(source, seed)` column into
+//! source. [`run_with_sinks`](ExperimentSession::run_with_sinks) is the
+//! same run streaming each completed cell to [`ReportSink`]s.
+//! [`SessionReport::outcomes`] turns one `(source, seed)` column into
 //! deltas relative to its baseline cell — the policy ablation's table.
 //!
 //! The policy sweep ([`PolicySweep`](crate::sweep::PolicySweep)) declares
@@ -75,7 +74,6 @@ pub mod sink;
 pub mod source;
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -404,102 +402,6 @@ impl ScenarioOutcome {
     }
 }
 
-/// Wall-clock measurements of one session cell.
-///
-/// Deliberately **not** part of [`SessionCell`]: timings vary run to run and
-/// machine to machine, so they are returned beside the deterministic report
-/// (see [`ExperimentSession::run_timed`]) and never enter report equality or
-/// the envelope's deterministic section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellPerf {
-    /// Label of the cell's policy.
-    pub policy: String,
-    /// Label of the cell's workload source.
-    pub source: String,
-    /// Declared seed of the cell.
-    pub seed: u64,
-    /// Arrival events the engine consumed.
-    pub events: u64,
-    /// Wall-clock time of the cell's run (lowering + simulation), in
-    /// milliseconds.
-    pub wall_ms: f64,
-}
-
-impl CellPerf {
-    /// Streaming throughput of the cell, in events per second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / (self.wall_ms / 1e3)
-        }
-    }
-}
-
-/// Per-cell and aggregate throughput counters for one session run.
-///
-/// Serialised by [`to_value`](Self::to_value) as the optional `perf` block
-/// of the `faas-coldstarts/session/v1` envelope, which CI's bench-smoke job
-/// gates on: a >30% aggregate events/sec regression against the committed
-/// baseline fails the build.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SessionPerf {
-    /// One entry per cell, in deterministic cell order.
-    pub cells: Vec<CellPerf>,
-}
-
-impl SessionPerf {
-    /// Total arrival events consumed across all cells.
-    pub fn total_events(&self) -> u64 {
-        self.cells.iter().map(|c| c.events).sum()
-    }
-
-    /// Summed per-cell wall-clock time in milliseconds (cells may have run
-    /// concurrently, so this is aggregate work, not elapsed time).
-    pub fn total_wall_ms(&self) -> f64 {
-        self.cells.iter().map(|c| c.wall_ms).sum()
-    }
-
-    /// Aggregate throughput: total events over summed cell wall-clock.
-    pub fn events_per_sec(&self) -> f64 {
-        let wall_ms = self.total_wall_ms();
-        if wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.total_events() as f64 / (wall_ms / 1e3)
-        }
-    }
-
-    /// The envelope `perf` block: aggregate counters plus one object per
-    /// cell. Wall-clock values differ run to run, so this block is appended
-    /// by producers *after* the deterministic envelope section.
-    pub fn to_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("events", JsonValue::U64(self.total_events())),
-            ("wall_ms", JsonValue::F64(self.total_wall_ms())),
-            ("events_per_sec", JsonValue::F64(self.events_per_sec())),
-            (
-                "cells",
-                JsonValue::Array(
-                    self.cells
-                        .iter()
-                        .map(|c| {
-                            JsonValue::object(vec![
-                                ("policy", JsonValue::str(&c.policy)),
-                                ("source", JsonValue::str(&c.source)),
-                                ("seed", JsonValue::U64(c.seed)),
-                                ("events", JsonValue::U64(c.events)),
-                                ("wall_ms", JsonValue::F64(c.wall_ms)),
-                                ("events_per_sec", JsonValue::F64(c.events_per_sec())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
 /// How a session obtains each cell's events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Execution {
@@ -626,7 +528,7 @@ impl ExperimentSession {
 
     /// Executes the session over lazily lowered streams.
     pub fn run(&self) -> SessionReport {
-        self.execute(&mut [], Execution::Streamed).0
+        self.execute(&mut [], Execution::Streamed)
     }
 
     /// Executes with each `(source, seed)` column materialised once and
@@ -634,22 +536,16 @@ impl ExperimentSession {
     /// behaviour, kept as the oracle the streamed-equals-materialised
     /// property tests compare against.
     pub fn run_materialized(&self) -> SessionReport {
-        self.execute(&mut [], Execution::Materialized).0
+        self.execute(&mut [], Execution::Materialized)
     }
 
     /// [`run`](Self::run) that streams cells through `sinks` in declaration
-    /// order as they complete, and additionally returns the per-cell
-    /// throughput counters (events, wall-clock, events/sec) benchmark
-    /// producers append as the envelope's `perf` block.
-    pub fn run_timed(&self, sinks: &mut [&mut dyn ReportSink]) -> (SessionReport, SessionPerf) {
+    /// order as they complete.
+    pub fn run_with_sinks(&self, sinks: &mut [&mut dyn ReportSink]) -> SessionReport {
         self.execute(sinks, Execution::Streamed)
     }
 
-    fn execute(
-        &self,
-        sinks: &mut [&mut dyn ReportSink],
-        mode: Execution,
-    ) -> (SessionReport, SessionPerf) {
+    fn execute(&self, sinks: &mut [&mut dyn ReportSink], mode: Execution) -> SessionReport {
         let seed_count = self.seeds.len();
         let columns = self.column_count();
         let cell_count = self.policies.len() * columns;
@@ -701,7 +597,7 @@ impl ExperimentSession {
         // Sinks observe a per-cell clone during the run; the reports
         // themselves are moved into the final cells afterwards, so the
         // sink-less paths (`run`, `run_materialized`) never copy a report.
-        let mut emit = |i: usize, outcome: &(SimReport, RegionId, f64)| {
+        let mut emit = |i: usize, outcome: &(SimReport, RegionId)| {
             if sinks.is_empty() {
                 return;
             }
@@ -721,8 +617,7 @@ impl ExperimentSession {
                     .with_config(platform.clone())
                     .with_seed(seeds::sim_seed(self.seeds[ki]))
                     .with_policies(Arc::clone(factory));
-                let started = Instant::now();
-                let (report, region) = match mode {
+                match mode {
                     Execution::Streamed => {
                         // Policies only ever transform the static tables
                         // (e.g. concurrency boosts), so an adjusted header
@@ -765,26 +660,14 @@ impl ExperimentSession {
                         };
                         (report, workload.region)
                     }
-                };
-                (report, region, started.elapsed().as_secs_f64() * 1e3)
+                }
             },
             &mut emit,
         );
-        let mut perf = SessionPerf::default();
         let cells: Vec<SessionCell> = outcomes
             .into_iter()
             .enumerate()
-            .map(|(i, (report, region, wall_ms))| {
-                let cell = make_cell(i, report, region);
-                perf.cells.push(CellPerf {
-                    policy: cell.policy.clone(),
-                    source: cell.source.clone(),
-                    seed: cell.seed,
-                    events: cell.report.events_processed,
-                    wall_ms,
-                });
-                cell
-            })
+            .map(|(i, (report, region))| make_cell(i, report, region))
             .collect();
 
         let report = SessionReport {
@@ -807,7 +690,7 @@ impl ExperimentSession {
         for sink in sinks.iter_mut() {
             sink.on_complete(&report);
         }
-        (report, perf)
+        report
     }
 }
 
@@ -914,15 +797,24 @@ mod tests {
 
     #[test]
     fn sinks_observe_cells_in_declaration_order() {
-        let session = tiny_session();
-        let mut collector = CellCollector::new();
-        let (report, _) = session.run_timed(&mut [&mut collector]);
-        assert_eq!(collector.cells, report.cells);
-        // And the collector saw them in declaration order during the run.
-        let indices: Vec<usize> = collector.cells.iter().map(|c| c.policy_index).collect();
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        assert_eq!(indices, sorted);
+        // On the test session's 4 threads and on the calling thread alone.
+        for session in [tiny_session(), tiny_session().with_threads(1)] {
+            let mut collector = CellCollector::new();
+            let report = session.run_with_sinks(&mut [&mut collector]);
+            assert_eq!(collector.cells, report.cells);
+            // And the collector saw them in declaration order during the run.
+            let indices: Vec<usize> = collector.cells.iter().map(|c| c.policy_index).collect();
+            let mut sorted = indices.clone();
+            sorted.sort_unstable();
+            assert_eq!(indices, sorted);
+            // Sinks observe the run; they never change its report or bytes.
+            let plain = session.run();
+            assert_eq!(report, plain);
+            assert_eq!(
+                report.envelope("test").to_json().as_bytes(),
+                plain.envelope("test").to_json().as_bytes()
+            );
+        }
     }
 
     #[test]
