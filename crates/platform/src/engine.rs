@@ -231,8 +231,8 @@ impl SimulationEngine {
     fn handle_arrival(&mut self, state: &mut SimState<'_>, function: FunctionId, t: u64) {
         let Some(idx) = state.resolve(function) else {
             // Unknown function (possible with hand-written replay traces):
-            // its history is tracked, nothing is dispatched.
-            state.observe_unknown_arrival(function, t);
+            // its arrivals are counted, nothing is dispatched.
+            state.observe_unknown_arrival(function);
             return;
         };
         state.observe_arrival(idx, t);
@@ -281,10 +281,11 @@ pub(crate) fn next_boundary_after(boundary: u64, epoch: u64, duration: u64) -> O
 mod tests {
     use super::*;
     use crate::config::PlatformConfig;
+    use crate::report::{ComponentTotals, FunctionStats};
     use crate::SimulationSpec;
     use faas_workload::population::PopulationConfig;
     use faas_workload::profile::{Calibration, RegionProfile};
-    use faas_workload::StreamedWorkload;
+    use faas_workload::{StreamedWorkload, WorkloadEvent, WorkloadSource};
 
     fn tiny_workload(seed: u64) -> WorkloadSpec {
         WorkloadSpec::generate(
@@ -392,5 +393,50 @@ mod tests {
         assert_eq!(eager, lazy);
         assert_eq!(eager_trace, lazy_trace);
         assert_eq!(eager.events_processed, workload.events.len() as u64);
+    }
+
+    #[test]
+    fn out_of_table_arrivals_are_counted_not_dispatched() {
+        let mut table_only = tiny_workload(23);
+        table_only.source = WorkloadSource::Replay;
+        let stranger = FunctionId::new(u64::MAX);
+        assert!(table_only.function(stranger).is_none());
+        let stranger_times = [0, 1, 3_600_000, 3_600_000, 50_000_000];
+        let mut with_stranger = table_only.clone();
+        with_stranger
+            .events
+            .extend(stranger_times.iter().map(|&timestamp_ms| WorkloadEvent {
+                timestamp_ms,
+                function: stranger,
+            }));
+        with_stranger.events.sort_by_key(|e| e.timestamp_ms);
+
+        let spec = SimulationSpec::new().with_seed(5);
+        let (report, _) = spec.run(&with_stranger);
+        assert_eq!(report, spec.run(&with_stranger).0, "identical reruns");
+        let stats = report
+            .per_function
+            .iter()
+            .find(|f| f.function == stranger)
+            .expect("the out-of-table function is listed");
+        assert_eq!(
+            *stats,
+            FunctionStats {
+                function: stranger,
+                requests: stranger_times.len() as u64,
+                cold_starts: 0,
+                components: ComponentTotals::default(),
+            }
+        );
+        assert_eq!(report.events_processed, with_stranger.events.len() as u64);
+
+        // Nothing else moves: the run without the stranger's arrivals
+        // differs only by them.
+        let (mut expected, _) = spec.run(&table_only);
+        assert_eq!(expected.requests, table_only.events.len() as u64);
+        expected.events_processed += stranger_times.len() as u64;
+        // `per_function` is sorted by id, and the stranger's id is the largest.
+        expected.per_function.push(*stats);
+        assert_eq!(report, expected);
     }
 }

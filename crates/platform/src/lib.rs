@@ -42,7 +42,7 @@
 //! model, as documented end to end in the repository's `ARCHITECTURE.md`.
 //! Experiments that need many runs spread whole cells across cores (the
 //! `coldstarts` session API). Hot-path internals live in [`event`]
-//! (hierarchical timing wheel) and [`arena`] (dense index-addressed state).
+//! (one binary-heap event queue) and [`arena`] (dense index-addressed state).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -129,9 +129,9 @@ pub struct SimState<'a> {
     pub(crate) pods: PodArena,
     pub(crate) warm_by_function: Vec<Vec<PodIdx>>,
     pub(crate) histories: Vec<FunctionHistory>,
-    /// Histories of functions outside the workload table (replay traces can
-    /// reference them); cold path, keyed by public id.
-    pub(crate) extra_histories: HashMap<FunctionId, FunctionHistory>,
+    /// Arrival counts of functions outside the workload table (replay traces
+    /// can reference them); cold path, keyed by public id.
+    pub(crate) unknown_arrivals: HashMap<FunctionId, u64>,
     pub(crate) recent_arrivals: Vec<u64>,
     /// Per-function pod-id counters; public pod ids are
     /// `(region << 48) | (table_idx << 26) | counter`, independent of arena
@@ -219,7 +219,7 @@ impl<'a> SimState<'a> {
             pods: PodArena::new(),
             warm_by_function: vec![Vec::new(); n],
             histories: vec![FunctionHistory::default(); n],
-            extra_histories: HashMap::new(),
+            unknown_arrivals: HashMap::new(),
             recent_arrivals: vec![0; n],
             pod_counters: vec![0; n],
             req_counters: vec![0; n],
@@ -249,12 +249,9 @@ impl<'a> SimState<'a> {
         self.recent_arrivals[function.index()] += 1;
     }
 
-    /// Records an arrival for a function outside the workload table.
-    pub(crate) fn observe_unknown_arrival(&mut self, function: FunctionId, t: u64) {
-        self.extra_histories
-            .entry(function)
-            .or_default()
-            .observe_arrival(t);
+    /// Counts an arrival for a function outside the workload table.
+    pub(crate) fn observe_unknown_arrival(&mut self, function: FunctionId) {
+        *self.unknown_arrivals.entry(function).or_default() += 1;
     }
 
     pub(crate) fn reset_recent_arrivals(&mut self) {
@@ -663,6 +660,17 @@ impl<'a> SimState<'a> {
         report.mem_gb_s_wasted += pools.mem_gb_s();
 
         if self.workload.is_replay() {
+            // Unknown functions are never dispatched, so no cold start or
+            // cold time is ever charged to them.
+            let unknown =
+                self.unknown_arrivals
+                    .iter()
+                    .map(|(&function, &requests)| FunctionStats {
+                        function,
+                        requests,
+                        cold_starts: 0,
+                        components: ComponentTotals::default(),
+                    });
             let mut per_function: Vec<FunctionStats> = self
                 .histories
                 .iter()
@@ -674,19 +682,7 @@ impl<'a> SimState<'a> {
                     cold_starts: h.cold_starts,
                     components: self.accum[i].cold,
                 })
-                .chain(
-                    self.extra_histories
-                        .iter()
-                        .filter(|(_, h)| h.arrivals > 0 || h.cold_starts > 0)
-                        .map(|(&function, h)| FunctionStats {
-                            function,
-                            requests: h.arrivals,
-                            cold_starts: h.cold_starts,
-                            // Unknown functions are never dispatched, so no
-                            // cold time is ever charged to them.
-                            components: ComponentTotals::default(),
-                        }),
-                )
+                .chain(unknown)
                 .collect();
             per_function.sort_by_key(|f| f.function);
             report.per_function = per_function;

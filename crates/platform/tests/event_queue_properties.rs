@@ -1,12 +1,10 @@
-//! Property-based tests for the hierarchical timing wheel behind
-//! [`faas_platform::EventQueue`].
+//! Property-based tests for [`faas_platform::EventQueue`].
 //!
-//! The wheel replaced a `BinaryHeap<(time, seq)>`, and the simulator's
-//! determinism contract requires it to be observationally identical: every
-//! pop sequence must match what the heap would have produced — ascending
-//! time, FIFO within a timestamp, regardless of which wheel level (or the
-//! far-future overflow heap) an event landed in. These tests drive the
-//! wheel against exactly that heap as an oracle.
+//! The simulator's determinism contract fixes the queue's pop order: every
+//! pop sequence must match what a `BinaryHeap<(time, seq)>` would produce —
+//! ascending time, FIFO within a timestamp, whether an event is due in a
+//! millisecond or past 2^32 ms. These tests drive the queue against exactly
+//! that heap as an oracle.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,8 +12,8 @@ use std::collections::BinaryHeap;
 use faas_platform::{Event, EventQueue, PodIdx};
 use proptest::prelude::*;
 
-/// Reference model: the `BinaryHeap` the wheel replaced. Push order is the
-/// tie-break for equal timestamps, matching the wheel's FIFO guarantee.
+/// Reference model: a `BinaryHeap` of `(time, seq)`. Push order is the
+/// tie-break for equal timestamps, matching the queue's FIFO guarantee.
 #[derive(Default)]
 struct HeapOracle {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
@@ -25,8 +23,9 @@ struct HeapOracle {
 impl HeapOracle {
     fn push(&mut self, time_ms: u64, tag: u64) {
         self.heap.push(Reverse((time_ms, self.seq)));
-        // The tag rides in the low bits of the sequence payload so pops can
-        // be compared; sequence numbers grow by tag-capacity per push.
+        // The oracle stores no tag: every test tags the i-th push with `i`,
+        // and the sequence number grows by `TAG_SPAN` per push, so
+        // `seq / TAG_SPAN` is the push index and thus the tag.
         debug_assert!(tag < TAG_SPAN);
         self.seq += TAG_SPAN;
     }
@@ -43,7 +42,7 @@ impl HeapOracle {
     }
 }
 
-/// Tags are carried through the wheel inside `RequestComplete::busy_ms`, so
+/// Tags are carried through the queue inside `RequestComplete::busy_ms`, so
 /// a pop can be matched back to the push that produced it.
 const TAG_SPAN: u64 = 1 << 20;
 
@@ -61,15 +60,15 @@ fn tag_of(event: Event) -> u64 {
     }
 }
 
-/// Times that exercise every placement class: the current level-0 slot,
-/// higher wheel levels, and the > 2^32 ms overflow heap.
+/// Times in four classes: dense near times that collide, mid-range times,
+/// times past 2^26 ms, and far-future times up to 2^34 ms (past 2^32 ms).
 fn arb_time() -> impl Strategy<Value = u64> {
     (0u64..4, 0u64..1 << 10, 0u64..1 << 26, 0u64..1 << 34).prop_map(|(class, near, mid, far)| {
         match class {
-            0 => near,            // level 0 / same-slot collisions
-            1 => mid,             // levels 1-3
-            2 => (1 << 26) + mid, // deep level boundaries
-            _ => far,             // spills into the overflow heap
+            0 => near,            // same-timestamp collisions
+            1 => mid,             // up to ~18.6 hours
+            2 => (1 << 26) + mid, // ~18.6 to ~37.3 hours
+            _ => far,             // up to ~199 days
         }
     })
 }
@@ -77,9 +76,9 @@ fn arb_time() -> impl Strategy<Value = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::default())]
 
-    // Draining a fully loaded wheel yields the heap's exact total order:
-    // ascending time, push-order FIFO for equal timestamps, with overflow
-    // events cascading back in at the right position.
+    // Draining a fully loaded queue yields the heap's exact total order:
+    // ascending time, push-order FIFO for equal timestamps, with far-future
+    // events in their right position.
     #[test]
     fn drain_matches_heap_oracle(times in proptest::collection::vec(arb_time(), 1..400)) {
         let mut queue = EventQueue::new();
@@ -138,7 +137,7 @@ proptest! {
 
     // Random interleavings of pushes and bounded pops (`pop_due` with an
     // advancing horizon) stay in lockstep with the oracle — including
-    // pushes that land behind the wheel cursor after a horizon advance.
+    // pushes that land behind the horizon after it advanced.
     #[test]
     fn interleaved_push_and_pop_due_match_oracle(
         ops in proptest::collection::vec((0u64..3, arb_time()), 1..300),
@@ -166,7 +165,7 @@ proptest! {
                             prop_assert!(qt <= horizon);
                         }
                         (got, want) => {
-                            panic!("pop_due({horizon}) diverged: wheel {got:?}, oracle {want:?}")
+                            panic!("pop_due({horizon}) diverged: queue {got:?}, oracle {want:?}")
                         }
                     }
                 }
@@ -180,17 +179,16 @@ proptest! {
                     prop_assert_eq!((qt, tag_of(event)), (ot, oseq / TAG_SPAN));
                 }
                 (got, want) => {
-                    panic!("final drain diverged: wheel {got:?}, oracle {want:?}")
+                    panic!("final drain diverged: queue {got:?}, oracle {want:?}")
                 }
             }
         }
     }
 
-    // Far-future events (beyond the 2^32 ms wheel horizon) park in the
-    // overflow heap and cascade back into the wheel in order as the cursor
-    // approaches them.
+    // Far-future events (past 2^32 ms, ~49.7 days) pop in order after the
+    // near ones.
     #[test]
-    fn overflow_events_cascade_in_order(
+    fn far_future_events_pop_in_order(
         near in proptest::collection::vec(0u64..1 << 16, 1..40),
         far in proptest::collection::vec((1u64 << 32)..(1 << 36), 1..40),
     ) {
